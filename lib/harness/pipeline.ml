@@ -90,15 +90,21 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
   in
   (* Cache plumbing.  Without a cache every lookup misses and every
      store is a no-op, so the uncached pipeline is byte-identical to the
-     pre-cache one.  A stage's result is stored only when the stage
-     completed without degradations ([clean] below): a cached artifact
-     always replays a clean computation, never a recovered one whose
-     notes would silently vanish on reuse. *)
+     pre-cache one.  Keys are lazy and forced only here, so an uncached
+     run never prints or digests a program for a key nobody reads.  A
+     stage's result is stored only when the stage completed without
+     degradations ([clean] below): a cached artifact always replays a
+     clean computation, never a recovered one whose notes would silently
+     vanish on reuse. *)
   let cache_find ~stage ~key =
-    match cache with None -> None | Some c -> Cache.find c obs ~stage ~key
+    match cache with
+    | None -> None
+    | Some c -> Cache.find c obs ~stage ~key:(Lazy.force key)
   in
   let cache_put ~stage ~key v =
-    match cache with None -> () | Some c -> Cache.put c obs ~stage ~key v
+    match cache with
+    | None -> ()
+    | Some c -> Cache.put c obs ~stage ~key:(Lazy.force key) v
   in
   let clean_mark () = List.length !degradations in
   let clean since = List.length !degradations = since in
@@ -115,7 +121,8 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
       (* Front end (parse + sema + lower + pre-inline optimisation) is a
          pure function of the source text and the [pre_opt] switch. *)
       let front_key =
-        Cache.key [ "front"; bench.Benchmark.source; string_of_bool pre_opt ]
+        lazy
+          (Cache.key [ "front"; bench.Benchmark.source; string_of_bool pre_opt ])
       in
       let prog =
         match cache_find ~stage:"front" ~key:front_key with
@@ -160,19 +167,21 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
          [Sampled] profile is approximate, and conflating it with an
          exact entry would silently serve stale weights. *)
       let profile_key_of sum =
-        Cache.key
-          (("profile-" ^ engine_name)
-          :: ("mode-" ^ Impact_profile.Coverage.mode_name profile_mode)
-          :: sum :: inputs)
+        lazy
+          (Cache.key
+             (("profile-" ^ engine_name)
+             :: ("mode-" ^ Impact_profile.Coverage.mode_name profile_mode)
+             :: Lazy.force sum :: inputs))
       in
-      let prog_sum = Impact_profile.Profile_io.program_checksum prog in
+      let prog_sum = lazy (Impact_profile.Profile_io.program_checksum prog) in
+      let profile_key = profile_key_of prog_sum in
       (* Only counters and digests are consumed downstream, so neither
          profiling pass needs to hold every run's output text. *)
       let static_fallback = ref false in
       let profile, runs, pre_failures =
         match
           if profile_cacheable then
-            cache_find ~stage:"profile" ~key:(profile_key_of prog_sum)
+            cache_find ~stage:"profile" ~key:profile_key
           else None
         with
         | Some (profile, pairs) -> (profile, pairs, [])
@@ -223,19 +232,21 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
             && (not !static_fallback)
             && clean since
           then
-            cache_put ~stage:"profile" ~key:(profile_key_of prog_sum)
-              (profile, runs);
+            cache_put ~stage:"profile" ~key:profile_key (profile, runs);
           (profile, runs, failures)
       in
-      let profile_sum = Impact_profile.Profile_io.profile_checksum profile in
+      let profile_sum =
+        lazy (Impact_profile.Profile_io.profile_checksum profile)
+      in
       let config_fp = Config.fingerprint config in
       (* Classification depends on the program, the profile's content,
          the config, and which pointer-target analysis actually ran (the
          post pass never refines, whatever the config says). *)
       let classify_key_of ~tag ~prog_sum ~profile_sum ~refine =
-        Cache.key
-          [ "classify"; tag; prog_sum; profile_sum; config_fp;
-            string_of_bool refine ]
+        lazy
+          (Cache.key
+             [ "classify"; tag; Lazy.force prog_sum; Lazy.force profile_sum;
+               config_fp; string_of_bool refine ])
       in
       let classified =
         let key =
@@ -290,9 +301,10 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
          linearisation, selection, expansion and DCE in one step. *)
       let inliner =
         let key =
-          Cache.key
-            [ "inline"; prog_sum; profile_sum; config_fp;
-              string_of_bool post_cleanup ]
+          lazy
+            (Cache.key
+               [ "inline"; Lazy.force prog_sum; Lazy.force profile_sum;
+                 config_fp; string_of_bool post_cleanup ])
         in
         match cache_find ~stage:"inline" ~key with
         | Some r ->
@@ -301,7 +313,7 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
               [
                 ("benchmark", Impact_obs.Sink.String bench.Benchmark.name);
                 ("config", Impact_obs.Sink.String config_fp);
-                ("profile", Impact_obs.Sink.String profile_sum);
+                ("profile", Impact_obs.Sink.String (Lazy.force profile_sum));
               ]
             "inline.cached";
           r
@@ -340,7 +352,10 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
       Obs.gauge_int obs "il.size_post_inline"
         (Il.program_code_size inliner.Inliner.program);
       let post_prog = inliner.Inliner.program in
-      let post_sum = Impact_profile.Profile_io.program_checksum post_prog in
+      let post_sum =
+        lazy (Impact_profile.Profile_io.program_checksum post_prog)
+      in
+      let post_profile_key = profile_key_of post_sum in
       (* Positional comparison of pre- and post-expansion runs; under
          Degrade the two passes may have dropped different inputs, so
          failures are scattered back onto input positions first. *)
@@ -371,7 +386,7 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
         else
           match
             if profile_cacheable then
-              cache_find ~stage:"profile" ~key:(profile_key_of post_sum)
+              cache_find ~stage:"profile" ~key:post_profile_key
             else None
           with
           | Some (post_profile, post_pairs) ->
@@ -388,7 +403,7 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
               in
               let post_pairs = List.map outcome_pair post_runs in
               if profile_cacheable then
-                cache_put ~stage:"profile" ~key:(profile_key_of post_sum)
+                cache_put ~stage:"profile" ~key:post_profile_key
                   (post_profile, post_pairs);
               (post_profile, compare_runs post_pairs [])
             | Degrade -> (
@@ -421,7 +436,7 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
                   post_failures;
                 let post_pairs = List.map outcome_pair post_runs in
                 if profile_cacheable && post_failures = [] && clean since then
-                  cache_put ~stage:"profile" ~key:(profile_key_of post_sum)
+                  cache_put ~stage:"profile" ~key:post_profile_key
                     (post_profile, post_pairs);
                 (post_profile, compare_runs post_pairs post_failures)
               with e ->
@@ -438,7 +453,7 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
         let key =
           classify_key_of ~tag:"post" ~prog_sum:post_sum
             ~profile_sum:
-              (Impact_profile.Profile_io.profile_checksum post_profile)
+              (lazy (Impact_profile.Profile_io.profile_checksum post_profile))
             ~refine:false
         in
         match cache_find ~stage:"classify" ~key with
@@ -457,7 +472,8 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
           cache_put ~stage:"classify" ~key cl;
           cl
       in
-      Obs.gauge_int obs "pipeline.c_lines" (count_c_lines bench.Benchmark.source);
+      let c_lines = count_c_lines bench.Benchmark.source in
+      Obs.gauge_int obs "pipeline.c_lines" c_lines;
       Obs.gauge_int obs "pipeline.nruns" (List.length inputs);
       (* A broken trace sink never took the computation down (sinks fail
          open); decide its severity now that the result is in hand. *)
@@ -473,7 +489,7 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
       (match cache with Some c -> Cache.publish c obs | None -> ());
       {
         bench;
-        c_lines = count_c_lines bench.Benchmark.source;
+        c_lines;
         nruns = List.length inputs;
         prog;
         profile;

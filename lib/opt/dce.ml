@@ -35,11 +35,12 @@ let eliminate_func (f : Il.func) =
   while !changed do
     changed := false;
     let used = used_regs f in
-    (* Parameters are implicitly "used" by callers passing them, but a
-       write to one is still dead if nothing reads it afterwards; the
-       read analysis above covers that.  The only registers that must be
-       preserved regardless are none — calls return through explicit
-       ret registers. *)
+    (* A write is kept only if some instruction reads its register.
+       That holds for parameters too: callers fill them before entry,
+       and a later write to one is dead unless something reads it.  No
+       register is live by convention alone, because values leave a
+       function only through the operand of its [ret] instruction,
+       which [used_regs] counts as a read. *)
     let keep instr =
       match instr with
       | Il.Mov (r, _) | Il.Un (_, r, _) | Il.Bin (_, r, _, _) | Il.Load (_, r, _)

@@ -182,6 +182,36 @@ let test_warm_run_identical () =
   Alcotest.(check int) "inline.cached decision logged" 1
     (List.length cached_decisions)
 
+(* The six entries a cold [cmp] run stores, as [<stage>-<key>.ice]
+   names in the store directory.  Existing on-disk stores keep hitting
+   only while every key stays byte-identical, so the keys are pinned
+   here as they were before the checksums behind them became lazy.
+   Each key mixes in the cache's format salt, which carries the OCaml
+   version: a new compiler changes every key (and rightly misses every
+   old entry), and this list must then be regenerated. *)
+let cold_cmp_entries =
+  [
+    "classify-b15596173749a2bdd286cf817dc21e6f.ice";
+    "classify-bc76cf305a2b88d1821c7b33023cd727.ice";
+    "front-3bdac95f37881d486244de032c23d61a.ice";
+    "inline-b3a048eb2da9e1dd0475a96adca24bc8.ice";
+    "profile-1a20dc2f81ca8e3d763672c7a707adba.ice";
+    "profile-e08448ae7dea723beb78df7efe418e40.ice";
+  ]
+
+let test_stage_keys_pinned () =
+  let dir = tmp_dir () in
+  let bench = Suite.find "cmp" in
+  let cached = Pipeline.run ~cache:(Cache.create dir) bench in
+  Alcotest.(check (list string))
+    (Printf.sprintf "stage keys (OCaml %s)" Sys.ocaml_version)
+    cold_cmp_entries (entry_files dir);
+  (* Without a cache no key is ever computed; the report is unchanged. *)
+  let uncached = Pipeline.run bench in
+  Alcotest.(check string) "uncached report is byte-identical"
+    (Sink.json_to_string (Report.to_json [ cached ]))
+    (Sink.json_to_string (Report.to_json [ uncached ]))
+
 let test_warm_suite_report () =
   (* The suite driver threads one shared cache through every benchmark;
      keep it to a two-benchmark slice so the test stays quick. *)
@@ -419,6 +449,8 @@ let tests =
     Alcotest.test_case "LRU eviction under a byte budget" `Quick test_eviction;
     Alcotest.test_case "warm rerun is byte-identical, all hits" `Quick
       test_warm_run_identical;
+    Alcotest.test_case "stage keys are pinned; uncached report identical"
+      `Quick test_stage_keys_pinned;
     Alcotest.test_case "warm suite rerun skips all stage work" `Quick
       test_warm_suite_report;
     Alcotest.test_case "invalidation is stage-precise" `Quick

@@ -6,7 +6,8 @@
    pointer table — and pushes each one through the real Cfront pipeline
    (parse → sema → lower).  The locked-down property: the interpreter's
    output bytes and exit status are identical with inlining off and on,
-   and across the Threaded and Reference engines, for every program.
+   after the post-inline cleanup, and across the Threaded and Reference
+   engines, for every program.
 
    Termination by construction: every function takes a depth parameter
    [d], begins with a [d <= 0] base case, and every call site passes
@@ -217,7 +218,31 @@ let semantics_preserved config src =
     QCheck.Test.fail_reportf
       "inlining changed behaviour: %S/%d (off) vs %S/%d (on)" (fst base_t)
       (snd base_t) (fst post_t) (snd post_t);
+  (* The post-inline cleanup must leave well-formed IL that both engines
+     still run to the baseline's output. *)
+  let cleaned = Il.copy_program report.Inliner.program in
+  ignore (Impact_opt.Driver.post_inline_cleanup cleaned);
+  Impact_il.Il_check.check_exn cleaned;
+  let clean_t = run_with Machine.Threaded cleaned in
+  let clean_r = run_with Machine.Reference cleaned in
+  if clean_t <> base_t || clean_r <> base_t then
+    QCheck.Test.fail_reportf
+      "cleanup changed behaviour: %S/%d (off) vs %S/%d (threaded), %S/%d \
+       (reference)"
+      (fst base_t) (snd base_t) (fst clean_t) (snd clean_t) (fst clean_r)
+      (snd clean_r);
   true
+
+(* Copy propagation against its quadratic oracle on inlined programs,
+   where renamed callee registers make register files large. *)
+let copy_prop_matches_oracle config src =
+  let prog = Testutil.compile src in
+  ignore (Impact_opt.Driver.pre_inline prog);
+  let { Profiler.profile; _ } = Profiler.profile prog ~inputs:[ "" ] in
+  let report = Inliner.run ~config prog profile in
+  match Copy_prop_oracle.agrees report.Inliner.program with
+  | Ok () -> true
+  | Error e -> QCheck.Test.fail_reportf "%s" e
 
 let aggressive =
   {
@@ -255,6 +280,8 @@ let props =
            Config.devirt = true;
            weight_threshold = infinity;
          });
+    t ~count:60 "copy_prop and cleanup match the oracle after inlining"
+      (copy_prop_matches_oracle { aggressive with Config.devirt = true });
   ]
 
 let tests = List.map QCheck_alcotest.to_alcotest props

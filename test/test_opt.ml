@@ -7,6 +7,7 @@ module Copy_prop = Impact_opt.Copy_prop
 module Dce = Impact_opt.Dce
 module Jump_opt = Impact_opt.Jump_opt
 module Driver = Impact_opt.Driver
+module Benchmark = Impact_bench_progs.Benchmark
 
 let preserved name pass ?(input = "") src =
   let plain = Testutil.compile src in
@@ -83,6 +84,107 @@ let test_copy_prop_rewrites () =
   let n = Copy_prop.propagate prog in
   Alcotest.(check bool) "copies propagated" true (n > 0)
 
+(* The indexed pass against the quadratic oracle on the paper's twelve
+   programs after inlining (devirt on, so guards and renamed callee
+   registers both appear): same rewrite counts, same IL, alone and
+   inside the cleanup fixpoint. *)
+let test_copy_prop_matches_oracle_on_suite () =
+  List.iter
+    (fun (b : Benchmark.t) ->
+      let prog = Testutil.compile b.Benchmark.source in
+      ignore (Driver.pre_inline prog);
+      let input = List.hd (b.Benchmark.inputs ()) in
+      let { Impact_profile.Profiler.profile; _ } =
+        Impact_profile.Profiler.profile prog ~inputs:[ input ]
+      in
+      let config =
+        { Impact_core.Config.default with Impact_core.Config.devirt = true }
+      in
+      let report = Impact_core.Inliner.run ~config prog profile in
+      match Copy_prop_oracle.agrees report.Impact_core.Inliner.program with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail (b.Benchmark.name ^ ": " ^ e))
+    Impact_bench_progs.Suite.all
+
+(* Stale reverse-index entries.  Each of [nblocks] labelled blocks works
+   in its own window of registers s1 = b, d = b+1, s2 = b+2, e = b+3,
+   t = b+4:
+   - d is made a copy of s1, killed, and re-made a copy of s2; killing
+     s1 must leave d's copy of s2 alone (the entry for d under s1 is
+     stale);
+   - e is made a copy of s1, killed, and re-made a copy of s1, so s1
+     lists e twice; t copies e (hence s1); killing s1 must then end both
+     e's and t's copies, and still not d's;
+   - a copy recorded in the previous block must not survive the label. *)
+let test_copy_prop_stale_holders () =
+  let nblocks = 50 in
+  let window = 5 in
+  let body = ref [] in
+  let emit i = body := i :: !body in
+  let w = Il.Word in
+  for k = 0 to nblocks - 1 do
+    let b = window * k in
+    let s1 = b and d = b + 1 and s2 = b + 2 and e = b + 3 and t = b + 4 in
+    emit (Il.Label k);
+    if k > 0 then emit (Il.Store (w, Il.Reg (b - window + 1), Il.Imm 3));
+    emit (Il.Mov (d, Il.Reg s1));
+    emit (Il.Mov (d, Il.Imm k));
+    emit (Il.Mov (d, Il.Reg s2));
+    emit (Il.Mov (s1, Il.Imm 0));
+    emit (Il.Store (w, Il.Reg d, Il.Imm 0));
+    emit (Il.Mov (e, Il.Reg s1));
+    emit (Il.Mov (e, Il.Imm 1));
+    emit (Il.Mov (e, Il.Reg s1));
+    emit (Il.Store (w, Il.Reg e, Il.Imm 1));
+    emit (Il.Mov (t, Il.Reg e));
+    emit (Il.Mov (s1, Il.Imm 2));
+    emit (Il.Store (w, Il.Reg e, Il.Reg t));
+    emit (Il.Store (w, Il.Reg d, Il.Imm 2));
+    emit (Il.Jump (k + 1))
+  done;
+  emit (Il.Label nblocks);
+  emit (Il.Ret None);
+  let func () =
+    {
+      Il.fid = 0;
+      name = "main";
+      nparams = 0;
+      nregs = window * nblocks;
+      nlabels = nblocks + 1;
+      frame_size = 0;
+      body = Array.of_list (List.rev !body);
+      alive = true;
+    }
+  in
+  let f = func () in
+  let n = Copy_prop.propagate_func f in
+  let g = func () in
+  let n_oracle = Copy_prop_oracle.propagate_func g in
+  Alcotest.(check int) "four rewrites per block" (4 * nblocks) n;
+  Alcotest.(check int) "oracle agrees on the count" n_oracle n;
+  Alcotest.(check bool) "oracle agrees on the body" true (f.Il.body = g.Il.body);
+  let stores =
+    Array.to_list f.Il.body
+    |> List.filter_map (function
+         | Il.Store (_, a, v) -> Some (a, v)
+         | _ -> None)
+  in
+  let expected =
+    List.concat
+      (List.init nblocks (fun k ->
+           let b = window * k in
+           let reg r = Il.Reg r in
+           (if k > 0 then [ (reg (b - window + 1), Il.Imm 3) ] else [])
+           @ [
+               (reg (b + 2), Il.Imm 0);
+               (reg b, Il.Imm 1);
+               (reg (b + 3), reg (b + 4));
+               (reg (b + 2), Il.Imm 2);
+             ]))
+  in
+  Alcotest.(check bool) "every use reads the right register" true
+    (stores = expected)
+
 let test_dce_removes_dead_code () =
   (* The chain dead -> dead2 is acyclic, so iterated DCE removes both;
      a self-referential chain (dead = dead * 2) would survive the
@@ -152,6 +254,10 @@ let tests =
     Alcotest.test_case "const_fold folds arithmetic" `Quick test_const_fold_folds;
     Alcotest.test_case "const_fold keeps traps" `Quick test_const_fold_keeps_div_by_zero;
     Alcotest.test_case "copy_prop rewrites" `Quick test_copy_prop_rewrites;
+    Alcotest.test_case "copy_prop matches its oracle on the suite" `Quick
+      test_copy_prop_matches_oracle_on_suite;
+    Alcotest.test_case "copy_prop ignores stale holders" `Quick
+      test_copy_prop_stale_holders;
     Alcotest.test_case "dce removes dead code" `Quick test_dce_removes_dead_code;
     Alcotest.test_case "dce keeps side effects" `Quick test_dce_keeps_stores_and_calls;
     Alcotest.test_case "jump_opt cleans inlined jumps" `Quick
