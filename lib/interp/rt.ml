@@ -55,6 +55,13 @@ let fid_of_addr addr nfuncs =
   end
   else None
 
+(* The parts of a memory image a run has written: [\[0, lo)] below the
+   stack base and [\[hi, top)] at or above it, where [top] is the run's
+   logical image size.  Two extents rather than one because a run
+   writes at both ends of its image — globals and heap at the bottom,
+   the stack at the top — and almost nothing in between. *)
+type extent = { mutable lo : int; mutable hi : int; mutable top : int }
+
 type state = {
   prog : Il.program;
   mem : Bytes.t;
@@ -86,6 +93,7 @@ type state = {
   input : string;
   mutable in_pos : int;
   out : Buffer.t;
+  written : extent;
 }
 
 (* Both engines call this at every activation entry, before any counter
@@ -127,6 +135,14 @@ let[@inline never] range_trap addr n =
 let[@inline] check_range st addr n =
   if addr < globals_base || addr > st.mem_len - n then range_trap addr n
 
+(* Every write to the image goes through here after its range check. *)
+let[@inline] mark_written st addr n =
+  let w = st.written in
+  if addr < st.stack_base then begin
+    if addr + n > w.lo then w.lo <- addr + n
+  end
+  else if addr < w.hi then w.hi <- addr
+
 let[@inline] load_word st addr =
   check_range st addr 8;
   if Sys.big_endian then Int64.to_int (Bytes.get_int64_le st.mem addr)
@@ -134,6 +150,7 @@ let[@inline] load_word st addr =
 
 let[@inline] store_word st addr v =
   check_range st addr 8;
+  mark_written st addr 8;
   if Sys.big_endian then Bytes.set_int64_le st.mem addr (Int64.of_int v)
   else unsafe_set_64 st.mem addr (Int64.of_int v)
 
@@ -143,6 +160,7 @@ let[@inline] load_byte st addr =
 
 let[@inline] store_byte st addr v =
   check_range st addr 1;
+  mark_written st addr 1;
   Bytes.unsafe_set st.mem addr (Char.unsafe_chr (v land 0xff))
 
 (* ------------------------------------------------------------------ *)
@@ -207,6 +225,7 @@ let ext_read st ptr n =
   let count = min n avail in
   if count > 0 then begin
     check_range st ptr count;
+    mark_written st ptr count;
     Bytes.blit_string st.input st.in_pos st.mem ptr count;
     st.in_pos <- st.in_pos + count
   end;
@@ -352,28 +371,36 @@ let switch_table st ~fid ~index table =
    single largest source of major-heap churn during profiling sweeps —
    the PR 6 flight recorder measured the cross-domain minor-GC barriers
    it triggered as the dominant anti-scaling term.  With [~reuse_mem]
-   the image lives in domain-local storage and is re-zeroed (only up to
-   the run's logical size) instead of re-allocated.  Sound only while a
+   the image lives in domain-local storage and is reused instead of
+   re-allocated.  The buffer is all zeros outside the extents the last
+   run on it wrote, so a reuse re-zeroes just those: a few KiB for a
+   typical run instead of the whole image.  The cell keeps only the
+   buffer and the extents' integers, never the last run's state (which
+   would keep its input, output and program alive).  Sound only while a
    domain runs at most one state at a time, which is why reuse is
    opt-in: the two engine entry points enable it, everything else
    defaults to fresh allocation. *)
-let scratch_mem : Bytes.t ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref Bytes.empty)
+type scratch = { mutable buf : Bytes.t; dirty : extent }
 
-let image_bytes ~reuse len =
-  if not reuse then Bytes.make len '\000'
+let scratch_mem : scratch Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { buf = Bytes.empty; dirty = { lo = 0; hi = 0; top = 0 } })
+
+(* A zeroed image of [len] bytes and the extent record its run marks. *)
+let image ~reuse len =
+  if not reuse then (Bytes.make len '\000', { lo = 0; hi = len; top = len })
   else begin
-    let cell = Domain.DLS.get scratch_mem in
-    let b = !cell in
-    if Bytes.length b >= len then begin
-      Bytes.fill b 0 len '\000';
-      b
+    let s = Domain.DLS.get scratch_mem in
+    let d = s.dirty in
+    if Bytes.length s.buf >= len then begin
+      Bytes.fill s.buf 0 d.lo '\000';
+      if d.hi < d.top then Bytes.fill s.buf d.hi (d.top - d.hi) '\000'
     end
-    else begin
-      let b = Bytes.make len '\000' in
-      cell := b;
-      b
-    end
+    else s.buf <- Bytes.make len '\000';
+    d.lo <- 0;
+    d.hi <- len;
+    d.top <- len;
+    (s.buf, d)
   end
 
 let create_state ?(budget = no_budget) ?(reuse_mem = false) ~fuel ~heap_size
@@ -398,10 +425,11 @@ let create_state ?(budget = no_budget) ?(reuse_mem = false) ~fuel ~heap_size
   let heap_end = heap_start + heap_size in
   let stack_base = heap_end in
   let stack_top = stack_base + stack_size in
+  let mem, written = image ~reuse:reuse_mem stack_top in
   let st =
     {
       prog;
-      mem = image_bytes ~reuse:reuse_mem stack_top;
+      mem;
       mem_len = stack_top;
       counters =
         Counters.create ~nfuncs:(Array.length prog.Il.funcs) ~nsites:prog.Il.next_site;
@@ -424,6 +452,7 @@ let create_state ?(budget = no_budget) ?(reuse_mem = false) ~fuel ~heap_size
       input;
       in_pos = 0;
       out = Buffer.create 4096;
+      written;
     }
   in
   (* Initialise global images. *)
@@ -443,7 +472,9 @@ let create_state ?(budget = no_budget) ?(reuse_mem = false) ~fuel ~heap_size
   (* Interned strings. *)
   Array.iteri
     (fun i s ->
-      String.iteri (fun j c -> Bytes.set st.mem (string_addr.(i) + j) c) s)
+      let n = String.length s in
+      mark_written st string_addr.(i) n;
+      Bytes.blit_string s 0 st.mem string_addr.(i) n)
     prog.Il.strings;
   st
 

@@ -56,6 +56,12 @@ val func_addr : int -> int
 (** [fid_of_addr addr nfuncs] decodes a function pseudo-address. *)
 val fid_of_addr : int -> int -> int option
 
+(** The parts of a memory image a run has written: [\[0, lo)] below the
+    stack base and [\[hi, top)] at or above it ([top] is the run's
+    logical image size).  {!store_word}, {!store_byte}, {!ext_read} and
+    the image initialisation in {!create_state} keep it up to date. *)
+type extent = { mutable lo : int; mutable hi : int; mutable top : int }
+
 (** Mutable per-run state: the memory image, dynamic counters, layout
     tables and I/O cursors.  One value per execution; never shared
     between runs or domains. *)
@@ -84,6 +90,7 @@ type state = {
   input : string;
   mutable in_pos : int;
   out : Buffer.t;
+  written : extent;
 }
 
 (** [create_state ~fuel ~heap_size ~stack_size prog ~input] lays out
@@ -93,8 +100,9 @@ type state = {
     output watermark.
 
     [?reuse_mem] (default [false]) draws the memory image from a
-    per-domain scratch buffer instead of a fresh allocation, re-zeroed
-    up to this run's logical size.  Only sound while the calling domain
+    per-domain scratch buffer instead of a fresh allocation.  Before the
+    reuse, only the extents the previous run on that buffer wrote
+    ({!extent}) are re-zeroed; the rest is zero already.  Only sound while the calling domain
     runs at most one state at a time; the engine entry points
     ({!Machine.run_reference}, [Threaded.run]) enable it, and bounds
     checks use [mem_len] so a larger recycled buffer never loosens the

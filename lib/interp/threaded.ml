@@ -28,15 +28,23 @@
    instruction reproduces the reference engine's "fell off the end" trap
    without a bounds check anywhere on the hot path.
 
+   The hottest fall-through pairs (compare + bnz, mov + jump, bnz +
+   jump) are fused after decoding into one closure each, which runs both
+   ILs with one dispatch; see {!fuse}.
+
    Counting and fuel semantics are pinned to the reference engine
-   instruction for instruction: every closure decrements fuel and raises
-   {!Rt.Out_of_fuel} before doing its work (the reference engine counts
-   an instruction and spends its fuel before executing it), and because
-   exactly one closure runs per counted IL, [ils] is derived at the end
-   as [initial fuel - remaining fuel] instead of being bumped per
-   instruction.  The differential property tests in the test suite hold
-   the two engines to identical outputs, exit codes, traps, peak stack
-   and every counter.
+   instruction for instruction: every closure spends one fuel unit per
+   IL it runs and raises {!Rt.Out_of_fuel} on the IL that exhausts it,
+   before doing that IL's work (the reference engine counts an
+   instruction and spends its fuel before executing it).  A fused
+   closure charges both of its ILs at once, so it runs only when that
+   cannot exhaust the fuel and otherwise falls back to its first IL's
+   own closure.  Since exactly one fuel unit is spent per counted IL,
+   [ils] is derived at the end as [initial fuel - remaining fuel]
+   instead of being bumped per instruction.  The differential property
+   tests in the test suite hold the two engines to identical outputs,
+   exit codes, traps, peak stack and every counter, and sweep the fuel
+   over every IL of programs made of fused pairs.
 
    Unchecked array accesses: the register file, code array, and
    site-count accesses in the closures use [Array.unsafe_get]/[set].
@@ -63,7 +71,8 @@ type dfunc = {
   mutable pool_n : int;
 }
 
-(* An op executes one IL instruction and tail-calls its successor. *)
+(* An op executes one IL instruction (two for a fused pair) and
+   tail-calls its successor. *)
 and op = ctx -> unit
 
 and ctx = {
@@ -282,8 +291,16 @@ let leave c =
   Array.unsafe_get c.s_pc d
 
 (* ------------------------------------------------------------------ *)
-(* Counter helpers                                                     *)
+(* Fuel and counter helpers                                            *)
 (* ------------------------------------------------------------------ *)
+
+(* The prologue of every single-IL closure: spend one fuel unit and
+   stop on the instruction that exhausts it, exactly where the
+   reference engine does. *)
+let[@inline] tick c =
+  let f = c.fuel - 1 in
+  c.fuel <- f;
+  if f <= 0 then raise Rt.Out_of_fuel
 
 let[@inline] count_ct c =
   let cnt = c.cnt in
@@ -354,40 +371,35 @@ let decode_ext_full (code : op array) next site name args retc : op =
   match (name, args) with
   | "getchar", [] ->
     fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
+      tick c;
       count_ext c site;
       ext_return c retc (Rt.ext_getchar c.st);
       (Array.unsafe_get code next) c
   | "putchar", [ a ] ->
     let ea = enc a in
     fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
+      tick c;
       count_ext c site;
       ext_return c retc (Rt.ext_putchar c.st (get c.regs ea));
       (Array.unsafe_get code next) c
   | "print_int", [ a ] ->
     let ea = enc a in
     fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
+      tick c;
       count_ext c site;
       ext_return c retc (Rt.ext_print_int c.st (get c.regs ea));
       (Array.unsafe_get code next) c
   | "print_str", [ a ] ->
     let ea = enc a in
     fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
+      tick c;
       count_ext c site;
       ext_return c retc (Rt.ext_print_str c.st (get c.regs ea));
       (Array.unsafe_get code next) c
   | "read", [ p; n ] ->
     let ep = enc p and en = enc n in
     fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
+      tick c;
       count_ext c site;
       let regs = c.regs in
       ext_return c retc (Rt.ext_read c.st (get regs ep) (get regs en));
@@ -395,8 +407,7 @@ let decode_ext_full (code : op array) next site name args retc : op =
   | "write", [ p; n ] ->
     let ep = enc p and en = enc n in
     fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
+      tick c;
       count_ext c site;
       let regs = c.regs in
       ext_return c retc (Rt.ext_write c.st (get regs ep) (get regs en));
@@ -404,8 +415,7 @@ let decode_ext_full (code : op array) next site name args retc : op =
   | _ ->
     let argsenc = Array.of_list (List.map enc args) in
     fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
+      tick c;
       count_ext c site;
       let regs = c.regs in
       let vs = Array.fold_right (fun e acc -> get regs e :: acc) argsenc [] in
@@ -421,40 +431,35 @@ let decode_ext_by (code : op array) next name args retc (count : ctx -> unit) :
   match (name, args) with
   | "getchar", [] ->
     fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
+      tick c;
       count c;
       ext_return c retc (Rt.ext_getchar c.st);
       (Array.unsafe_get code next) c
   | "putchar", [ a ] ->
     let ea = enc a in
     fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
+      tick c;
       count c;
       ext_return c retc (Rt.ext_putchar c.st (get c.regs ea));
       (Array.unsafe_get code next) c
   | "print_int", [ a ] ->
     let ea = enc a in
     fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
+      tick c;
       count c;
       ext_return c retc (Rt.ext_print_int c.st (get c.regs ea));
       (Array.unsafe_get code next) c
   | "print_str", [ a ] ->
     let ea = enc a in
     fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
+      tick c;
       count c;
       ext_return c retc (Rt.ext_print_str c.st (get c.regs ea));
       (Array.unsafe_get code next) c
   | "read", [ p; n ] ->
     let ep = enc p and en = enc n in
     fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
+      tick c;
       count c;
       let regs = c.regs in
       ext_return c retc (Rt.ext_read c.st (get regs ep) (get regs en));
@@ -462,8 +467,7 @@ let decode_ext_by (code : op array) next name args retc (count : ctx -> unit) :
   | "write", [ p; n ] ->
     let ep = enc p and en = enc n in
     fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
+      tick c;
       count c;
       let regs = c.regs in
       ext_return c retc (Rt.ext_write c.st (get regs ep) (get regs en));
@@ -471,8 +475,7 @@ let decode_ext_by (code : op array) next name args retc (count : ctx -> unit) :
   | _ ->
     let argsenc = Array.of_list (List.map enc args) in
     fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
+      tick c;
       count c;
       let regs = c.regs in
       let vs = Array.fold_right (fun e acc -> get regs e :: acc) argsenc [] in
@@ -489,40 +492,35 @@ let decode_ext_scalar (code : op array) next name args retc : op =
   match (name, args) with
   | "getchar", [] ->
     fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
+      tick c;
       count_ext_scalar c;
       ext_return c retc (Rt.ext_getchar c.st);
       (Array.unsafe_get code next) c
   | "putchar", [ a ] ->
     let ea = enc a in
     fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
+      tick c;
       count_ext_scalar c;
       ext_return c retc (Rt.ext_putchar c.st (get c.regs ea));
       (Array.unsafe_get code next) c
   | "print_int", [ a ] ->
     let ea = enc a in
     fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
+      tick c;
       count_ext_scalar c;
       ext_return c retc (Rt.ext_print_int c.st (get c.regs ea));
       (Array.unsafe_get code next) c
   | "print_str", [ a ] ->
     let ea = enc a in
     fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
+      tick c;
       count_ext_scalar c;
       ext_return c retc (Rt.ext_print_str c.st (get c.regs ea));
       (Array.unsafe_get code next) c
   | "read", [ p; n ] ->
     let ep = enc p and en = enc n in
     fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
+      tick c;
       count_ext_scalar c;
       let regs = c.regs in
       ext_return c retc (Rt.ext_read c.st (get regs ep) (get regs en));
@@ -530,8 +528,7 @@ let decode_ext_scalar (code : op array) next name args retc : op =
   | "write", [ p; n ] ->
     let ep = enc p and en = enc n in
     fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
+      tick c;
       count_ext_scalar c;
       let regs = c.regs in
       ext_return c retc (Rt.ext_write c.st (get regs ep) (get regs en));
@@ -539,13 +536,121 @@ let decode_ext_scalar (code : op array) next name args retc : op =
   | _ ->
     let argsenc = Array.of_list (List.map enc args) in
     fun c ->
-      c.fuel <- c.fuel - 1;
-      if c.fuel <= 0 then raise Rt.Out_of_fuel;
+      tick c;
       count_ext_scalar c;
       let regs = c.regs in
       let vs = Array.fold_right (fun e acc -> get regs e :: acc) argsenc [] in
       ext_return c retc (Rt.call_external c.st name vs);
       (Array.unsafe_get code next) c
+
+(* ------------------------------------------------------------------ *)
+(* Fused pairs                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Superinstructions for the fall-through pairs that dominate the
+   dynamic mix, most of all after inlining turns calls and returns into
+   jumps: compare + [bnz], [mov] + [jump] (an expanded return), and
+   [bnz] + [jump] (a two-way branch).  One closure runs both ILs with a
+   single dispatch, charges the fuel and counts the control transfers
+   of both (a taken [bnz] never reaches its [jump], so it charges one),
+   and leaves the rest to the unfused closures.  Only pairs whose first
+   IL cannot trap are fused: a trap after charging both would make
+   [ils] one too high. *)
+
+(* The fused guard: a pair runs fused only when charging both of its
+   ILs cannot exhaust the fuel.  Otherwise the first IL's own closure
+   runs, so the out-of-fuel point stays on the exact instruction. *)
+let[@inline] pair_fits c = c.fuel > 2
+
+(* The two shapes of a fused pair whose ILs always both run.  Each takes
+   its first IL's result [v] (a pure register read, so reading it ahead
+   of the guard is harmless) and the fallback [slow]. *)
+
+let[@inline] cmp_bnz c slow r v eo (code : op array) target next2 =
+  if pair_fits c then begin
+    c.fuel <- c.fuel - 2;
+    let regs = c.regs in
+    Array.unsafe_set regs r (if v then 1 else 0);
+    count_ct c;
+    if get regs eo <> 0 then (Array.unsafe_get code target) c
+    else (Array.unsafe_get code next2) c
+  end
+  else slow c
+
+let[@inline] mov_jump c slow r v (code : op array) target =
+  if pair_fits c then begin
+    c.fuel <- c.fuel - 2;
+    Array.unsafe_set c.regs r v;
+    count_ct c;
+    (Array.unsafe_get code target) c
+  end
+  else slow c
+
+(* [fuse ltab code p a b] is the fused closure for the pair [a] at
+   decoded pc [p] and [b] at [p + 1], if the pair is one of the above.
+   [code.(p)] must still hold [a]'s own closure: it is the fallback. *)
+let fuse ltab (code : op array) p (a : Il.instr) (b : Il.instr) : op option =
+  let slow = code.(p) and next2 = p + 2 in
+  match (a, b) with
+  | Il.Bin (op, r, x, y), Il.Bnz (o, l) -> (
+    let ex = enc x and ey = enc y and eo = enc o and t = ltab.(l) in
+    match op with
+    | Il.Lt ->
+      Some
+        (fun c ->
+          let regs = c.regs in
+          cmp_bnz c slow r (get regs ex < get regs ey) eo code t next2)
+    | Il.Le ->
+      Some
+        (fun c ->
+          let regs = c.regs in
+          cmp_bnz c slow r (get regs ex <= get regs ey) eo code t next2)
+    | Il.Gt ->
+      Some
+        (fun c ->
+          let regs = c.regs in
+          cmp_bnz c slow r (get regs ex > get regs ey) eo code t next2)
+    | Il.Ge ->
+      Some
+        (fun c ->
+          let regs = c.regs in
+          cmp_bnz c slow r (get regs ex >= get regs ey) eo code t next2)
+    | Il.Eq ->
+      Some
+        (fun c ->
+          let regs = c.regs in
+          cmp_bnz c slow r (get regs ex = get regs ey) eo code t next2)
+    | Il.Ne ->
+      Some
+        (fun c ->
+          let regs = c.regs in
+          cmp_bnz c slow r (get regs ex <> get regs ey) eo code t next2)
+    | _ -> None)
+  | Il.Mov (r, Il.Imm n), Il.Jump l ->
+    let t = ltab.(l) in
+    Some (fun c -> mov_jump c slow r n code t)
+  | Il.Mov (r, Il.Reg s), Il.Jump l ->
+    let t = ltab.(l) in
+    Some (fun c -> mov_jump c slow r (Array.unsafe_get c.regs s) code t)
+  | Il.Bnz (o, l1), Il.Jump l2 ->
+    (* A taken bnz never reaches its jump: it charges one IL. *)
+    let eo = enc o and t1 = ltab.(l1) and t2 = ltab.(l2) in
+    Some
+      (fun c ->
+        if pair_fits c then begin
+          count_ct c;
+          if get c.regs eo <> 0 then begin
+            c.fuel <- c.fuel - 1;
+            (Array.unsafe_get code t1) c
+          end
+          else begin
+            c.fuel <- c.fuel - 2;
+            count_ct c;
+            (Array.unsafe_get code t2) c
+          end
+        end
+        else slow c)
+  | _ -> None
 
 let rec get_dfunc c fid =
   match c.dfuncs.(fid) with
@@ -625,6 +730,17 @@ and decode c (f : Il.func) : op array =
       | Some op -> code.(dpc.(i)) <- op
       | None -> ())
     body;
+  (* Fuse the hot fall-through pairs; the second instruction of each
+     keeps its own closure at its own pc for branches into it. *)
+  let at_pc = Array.make nreal (Il.Ret None) in
+  Array.iteri
+    (fun i instr -> if not (Il.instr_is_label instr) then at_pc.(dpc.(i)) <- instr)
+    body;
+  for p = 0 to nreal - 2 do
+    match fuse ltab code p at_pc.(p) at_pc.(p + 1) with
+    | Some op -> code.(p) <- op
+    | None -> ()
+  done;
   code
 
 (* [code] is this function's (shared, still-filling) closure array and
@@ -637,15 +753,13 @@ and decode_instr c ltab (code : op array) next (instr : Il.instr) : op option =
   | Il.Mov (r, Il.Imm n) ->
     Some
       (fun c ->
-        c.fuel <- c.fuel - 1;
-        if c.fuel <= 0 then raise Rt.Out_of_fuel;
+        tick c;
         Array.unsafe_set c.regs r n;
         (Array.unsafe_get code next) c)
   | Il.Mov (r, Il.Reg s) ->
     Some
       (fun c ->
-        c.fuel <- c.fuel - 1;
-        if c.fuel <= 0 then raise Rt.Out_of_fuel;
+        tick c;
         let regs = c.regs in
         Array.unsafe_set regs r (Array.unsafe_get regs s);
         (Array.unsafe_get code next) c)
@@ -655,22 +769,19 @@ and decode_instr c ltab (code : op array) next (instr : Il.instr) : op option =
       (match op with
       | Il.Neg ->
         fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
+          tick c;
           let regs = c.regs in
           Array.unsafe_set regs r (-get regs ex);
           (Array.unsafe_get code next) c
       | Il.Not ->
         fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
+          tick c;
           let regs = c.regs in
           Array.unsafe_set regs r (lnot (get regs ex));
           (Array.unsafe_get code next) c
       | Il.Lnot ->
         fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
+          tick c;
           let regs = c.regs in
           Array.unsafe_set regs r (if get regs ex = 0 then 1 else 0);
           (Array.unsafe_get code next) c)
@@ -680,29 +791,25 @@ and decode_instr c ltab (code : op array) next (instr : Il.instr) : op option =
       (match op with
       | Il.Add ->
         fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
+          tick c;
           let regs = c.regs in
           Array.unsafe_set regs r (get regs ex + get regs ey);
           (Array.unsafe_get code next) c
       | Il.Sub ->
         fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
+          tick c;
           let regs = c.regs in
           Array.unsafe_set regs r (get regs ex - get regs ey);
           (Array.unsafe_get code next) c
       | Il.Mul ->
         fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
+          tick c;
           let regs = c.regs in
           Array.unsafe_set regs r (get regs ex * get regs ey);
           (Array.unsafe_get code next) c
       | Il.Div ->
         fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
+          tick c;
           let regs = c.regs in
           let b = get regs ey in
           if b = 0 then Rt.trap "division by zero";
@@ -710,8 +817,7 @@ and decode_instr c ltab (code : op array) next (instr : Il.instr) : op option =
           (Array.unsafe_get code next) c
       | Il.Mod ->
         fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
+          tick c;
           let regs = c.regs in
           let b = get regs ey in
           if b = 0 then Rt.trap "division by zero";
@@ -719,78 +825,67 @@ and decode_instr c ltab (code : op array) next (instr : Il.instr) : op option =
           (Array.unsafe_get code next) c
       | Il.Shl ->
         fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
+          tick c;
           let regs = c.regs in
           Array.unsafe_set regs r (get regs ex lsl (get regs ey land 63));
           (Array.unsafe_get code next) c
       | Il.Shr ->
         fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
+          tick c;
           let regs = c.regs in
           Array.unsafe_set regs r (get regs ex asr (get regs ey land 63));
           (Array.unsafe_get code next) c
       | Il.And ->
         fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
+          tick c;
           let regs = c.regs in
           Array.unsafe_set regs r (get regs ex land get regs ey);
           (Array.unsafe_get code next) c
       | Il.Or ->
         fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
+          tick c;
           let regs = c.regs in
           Array.unsafe_set regs r (get regs ex lor get regs ey);
           (Array.unsafe_get code next) c
       | Il.Xor ->
         fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
+          tick c;
           let regs = c.regs in
           Array.unsafe_set regs r (get regs ex lxor get regs ey);
           (Array.unsafe_get code next) c
       | Il.Lt ->
         fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
+          tick c;
           let regs = c.regs in
           Array.unsafe_set regs r (if get regs ex < get regs ey then 1 else 0);
           (Array.unsafe_get code next) c
       | Il.Le ->
         fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
+          tick c;
           let regs = c.regs in
           Array.unsafe_set regs r (if get regs ex <= get regs ey then 1 else 0);
           (Array.unsafe_get code next) c
       | Il.Gt ->
         fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
+          tick c;
           let regs = c.regs in
           Array.unsafe_set regs r (if get regs ex > get regs ey then 1 else 0);
           (Array.unsafe_get code next) c
       | Il.Ge ->
         fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
+          tick c;
           let regs = c.regs in
           Array.unsafe_set regs r (if get regs ex >= get regs ey then 1 else 0);
           (Array.unsafe_get code next) c
       | Il.Eq ->
         fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
+          tick c;
           let regs = c.regs in
           Array.unsafe_set regs r (if get regs ex = get regs ey then 1 else 0);
           (Array.unsafe_get code next) c
       | Il.Ne ->
         fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
+          tick c;
           let regs = c.regs in
           Array.unsafe_set regs r (if get regs ex <> get regs ey then 1 else 0);
           (Array.unsafe_get code next) c)
@@ -798,8 +893,7 @@ and decode_instr c ltab (code : op array) next (instr : Il.instr) : op option =
     let ea = enc addr in
     Some
       (fun c ->
-        c.fuel <- c.fuel - 1;
-        if c.fuel <= 0 then raise Rt.Out_of_fuel;
+        tick c;
         let regs = c.regs in
         Array.unsafe_set regs r (Rt.load_word c.st (get regs ea));
         (Array.unsafe_get code next) c)
@@ -807,8 +901,7 @@ and decode_instr c ltab (code : op array) next (instr : Il.instr) : op option =
     let ea = enc addr in
     Some
       (fun c ->
-        c.fuel <- c.fuel - 1;
-        if c.fuel <= 0 then raise Rt.Out_of_fuel;
+        tick c;
         let regs = c.regs in
         Array.unsafe_set regs r (Rt.load_byte c.st (get regs ea));
         (Array.unsafe_get code next) c)
@@ -816,8 +909,7 @@ and decode_instr c ltab (code : op array) next (instr : Il.instr) : op option =
     let ea = enc addr and ev = enc v in
     Some
       (fun c ->
-        c.fuel <- c.fuel - 1;
-        if c.fuel <= 0 then raise Rt.Out_of_fuel;
+        tick c;
         let regs = c.regs in
         Rt.store_word c.st (get regs ea) (get regs ev);
         (Array.unsafe_get code next) c)
@@ -825,56 +917,49 @@ and decode_instr c ltab (code : op array) next (instr : Il.instr) : op option =
     let ea = enc addr and ev = enc v in
     Some
       (fun c ->
-        c.fuel <- c.fuel - 1;
-        if c.fuel <= 0 then raise Rt.Out_of_fuel;
+        tick c;
         let regs = c.regs in
         Rt.store_byte c.st (get regs ea) (get regs ev);
         (Array.unsafe_get code next) c)
   | Il.Lea_frame (r, off) ->
     Some
       (fun c ->
-        c.fuel <- c.fuel - 1;
-        if c.fuel <= 0 then raise Rt.Out_of_fuel;
+        tick c;
         Array.unsafe_set c.regs r (c.fp + off);
         (Array.unsafe_get code next) c)
   | Il.Lea_global (r, g) ->
     let addr = st0.Rt.global_addr.(g) in
     Some
       (fun c ->
-        c.fuel <- c.fuel - 1;
-        if c.fuel <= 0 then raise Rt.Out_of_fuel;
+        tick c;
         Array.unsafe_set c.regs r addr;
         (Array.unsafe_get code next) c)
   | Il.Lea_string (r, s) ->
     let addr = st0.Rt.string_addr.(s) in
     Some
       (fun c ->
-        c.fuel <- c.fuel - 1;
-        if c.fuel <= 0 then raise Rt.Out_of_fuel;
+        tick c;
         Array.unsafe_set c.regs r addr;
         (Array.unsafe_get code next) c)
   | Il.Lea_func (r, fid) ->
     let addr = Rt.func_addr fid in
     Some
       (fun c ->
-        c.fuel <- c.fuel - 1;
-        if c.fuel <= 0 then raise Rt.Out_of_fuel;
+        tick c;
         Array.unsafe_set c.regs r addr;
         (Array.unsafe_get code next) c)
   | Il.Jump l ->
     let target = ltab.(l) in
     Some
       (fun c ->
-        c.fuel <- c.fuel - 1;
-        if c.fuel <= 0 then raise Rt.Out_of_fuel;
+        tick c;
         count_ct c;
         (Array.unsafe_get code target) c)
   | Il.Bnz (op, l) ->
     let eo = enc op and target = ltab.(l) in
     Some
       (fun c ->
-        c.fuel <- c.fuel - 1;
-        if c.fuel <= 0 then raise Rt.Out_of_fuel;
+        tick c;
         count_ct c;
         if get c.regs eo <> 0 then (Array.unsafe_get code target) c
         else (Array.unsafe_get code next) c)
@@ -894,8 +979,7 @@ and decode_instr c ltab (code : op array) next (instr : Il.instr) : op option =
       Array.iteri (fun i k -> jt.(k - lo) <- dtargets.(i)) cases;
       Some
         (fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
+          tick c;
           count_ct c;
           let i = get c.regs eo - lo in
           let t = if i >= 0 && i < range then Array.unsafe_get jt i else ddefault in
@@ -904,8 +988,7 @@ and decode_instr c ltab (code : op array) next (instr : Il.instr) : op option =
     else
       Some
         (fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
+          tick c;
           count_ct c;
           let v = get c.regs eo in
           let i = Rt.switch_find cases v in
@@ -917,8 +1000,7 @@ and decode_instr c ltab (code : op array) next (instr : Il.instr) : op option =
     let retc = match ret with Some r -> r | None -> -1 in
     let counted : op =
       fun c ->
-        c.fuel <- c.fuel - 1;
-        if c.fuel <= 0 then raise Rt.Out_of_fuel;
+        tick c;
         count_call c site;
         enter c df argsenc retc next;
         (* [enter] installed the callee's code; its entry may be the
@@ -940,31 +1022,27 @@ and decode_instr c ltab (code : op array) next (instr : Il.instr) : op option =
         | false, false ->
           Some
             (fun c ->
-              c.fuel <- c.fuel - 1;
-              if c.fuel <= 0 then raise Rt.Out_of_fuel;
+              tick c;
               enter c df argsenc retc next;
               (Array.unsafe_get c.code 0) c)
         | true, false ->
           Some
             (fun c ->
-              c.fuel <- c.fuel - 1;
-              if c.fuel <= 0 then raise Rt.Out_of_fuel;
+              tick c;
               count_call_scalar c;
               enter c df argsenc retc next;
               (Array.unsafe_get c.code 0) c)
         | false, true ->
           Some
             (fun c ->
-              c.fuel <- c.fuel - 1;
-              if c.fuel <= 0 then raise Rt.Out_of_fuel;
+              tick c;
               count_site_only c site;
               enter c df argsenc retc next;
               (Array.unsafe_get c.code 0) c))
       | Iplan.Sampled period ->
         Some
           (fun c ->
-            c.fuel <- c.fuel - 1;
-            if c.fuel <= 0 then raise Rt.Out_of_fuel;
+            tick c;
             count_call_sampled c site period;
             enter c df argsenc retc next;
             (Array.unsafe_get c.code 0) c)))
@@ -976,8 +1054,7 @@ and decode_instr c ltab (code : op array) next (instr : Il.instr) : op option =
     | None ->
       Some
         (fun c ->
-          c.fuel <- c.fuel - 1;
-          if c.fuel <= 0 then raise Rt.Out_of_fuel;
+          tick c;
           count_call c site;
           let tv = get c.regs et in
           match Rt.fid_of_addr tv c.nfuncs with
@@ -1002,8 +1079,7 @@ and decode_instr c ltab (code : op array) next (instr : Il.instr) : op option =
       | Iplan.Exact ->
         Some
           (fun c ->
-            c.fuel <- c.fuel - 1;
-            if c.fuel <= 0 then raise Rt.Out_of_fuel;
+            tick c;
             count_call c site;
             let tv = get c.regs et in
             match Rt.fid_of_addr tv c.nfuncs with
@@ -1018,8 +1094,7 @@ and decode_instr c ltab (code : op array) next (instr : Il.instr) : op option =
       | Iplan.Sampled period ->
         Some
           (fun c ->
-            c.fuel <- c.fuel - 1;
-            if c.fuel <= 0 then raise Rt.Out_of_fuel;
+            tick c;
             count_call_sampled c site period;
             let tv = get c.regs et in
             match Rt.fid_of_addr tv c.nfuncs with
@@ -1065,8 +1140,7 @@ and decode_instr c ltab (code : op array) next (instr : Il.instr) : op option =
   | Il.Ret None ->
     Some
       (fun c ->
-        c.fuel <- c.fuel - 1;
-        if c.fuel <= 0 then raise Rt.Out_of_fuel;
+        tick c;
         let cnt = c.cnt in
         cnt.Counters.returns <- cnt.Counters.returns + 1;
         if c.depth = 0 then begin
@@ -1083,8 +1157,7 @@ and decode_instr c ltab (code : op array) next (instr : Il.instr) : op option =
     let ev = enc v in
     Some
       (fun c ->
-        c.fuel <- c.fuel - 1;
-        if c.fuel <= 0 then raise Rt.Out_of_fuel;
+        tick c;
         let cnt = c.cnt in
         cnt.Counters.returns <- cnt.Counters.returns + 1;
         let value = get c.regs ev in

@@ -1,7 +1,10 @@
 (* A small domain pool for embarrassingly-parallel maps.
 
-   No Domainslib: each map spawns [jobs - 1] worker domains, the calling
-   domain works too, and an atomic cursor hands out indices.  Results
+   No Domainslib: each map runs its worker loop on [jobs - 1] other
+   domains and on the calling domain, and an atomic cursor hands out
+   indices.  The other domains are parked helpers, lent for one map and
+   parked again when their loop ends; a one-off domain is spawned only
+   when no helper is idle (see "Parked helpers" below).  Results
    land in a pre-sized array slot per index, so the output order is the
    input order no matter which domain ran which item — parallel and
    sequential maps are indistinguishable to the caller.
@@ -33,8 +36,8 @@
      degrading caller can keep the survivors and report the casualties.
    - A failure during *submission* (a [Domain.spawn] that raises, or an
      injected [Pool_worker_start] fault) stops the cursor, joins every
-     domain already spawned, and re-raises — the remaining queue is
-     drained, never leaked.
+     domain already started (lent or spawned), and re-raises — the
+     remaining queue is drained, never leaked.
    - An exception escaping a worker *body* (outside per-item capture,
      e.g. an injected [Pool_worker_finish] fault) is stowed in a
      compare-and-set slot and re-raised only after every domain has
@@ -92,7 +95,98 @@ let observed ~probe ~t0 i g =
       };
     v
 
-(* Spawn [jobs - 1] copies of [worker], run one on the calling domain,
+(* ------------------------------------------------------------------ *)
+(* Parked helpers                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Spawning and joining a domain costs milliseconds, and a fresh domain
+   starts without the per-domain interpreter image, while a profiling
+   suite maps twice per program.  So up to
+   [recommended_domain_count - 1] helper domains are kept for the life
+   of the process, parked on their own condition between maps.  A map
+   borrows an idle helper by handing it the loop to run; with no helper
+   idle (nested maps, or [~clamp:false] beyond the machine's domains) it
+   spawns a one-off domain.  A lent helper is idle when lent, so its
+   loop starts at once: a map never waits on a loop that has not
+   started, and nested maps cannot deadlock. *)
+
+(* Signalled when a lent loop has finished: joining a lent helper. *)
+type latch = { l_mu : Mutex.t; l_cv : Condition.t; mutable l_done : bool }
+
+type helper = {
+  h_mu : Mutex.t;
+  h_cv : Condition.t;
+  mutable h_job : ((unit -> unit) * latch) option;
+}
+
+(* Both under [helpers_mu]. *)
+let helpers_mu = Mutex.create ()
+
+let idle : helper list ref = ref []
+
+let nhelpers = ref 0
+
+let await l =
+  Mutex.lock l.l_mu;
+  while not l.l_done do
+    Condition.wait l.l_cv l.l_mu
+  done;
+  Mutex.unlock l.l_mu
+
+let rec helper_loop h =
+  Mutex.lock h.h_mu;
+  while h.h_job = None do
+    Condition.wait h.h_cv h.h_mu
+  done;
+  let body, l = Option.get h.h_job in
+  h.h_job <- None;
+  Mutex.unlock h.h_mu;
+  body ();
+  (* Park before signalling, so the map that lent this helper finds it
+     idle again once it returns. *)
+  Mutex.protect helpers_mu (fun () -> idle := h :: !idle);
+  Mutex.protect l.l_mu (fun () ->
+      l.l_done <- true;
+      Condition.signal l.l_cv);
+  helper_loop h
+
+type started = Lent of latch | Spawned of unit Domain.t
+
+let join = function Lent l -> await l | Spawned d -> Domain.join d
+
+(* Run [body] (which must not raise) on another domain: an idle helper,
+   else a new helper while there are fewer than the cap, else a one-off
+   domain. *)
+let start body =
+  let cap = Domain.recommended_domain_count () - 1 in
+  let lend =
+    Mutex.protect helpers_mu (fun () ->
+        match !idle with
+        | h :: rest ->
+          idle := rest;
+          Some (h, false)
+        | [] when !nhelpers < cap ->
+          incr nhelpers;
+          Some
+            ( { h_mu = Mutex.create (); h_cv = Condition.create (); h_job = None },
+              true )
+        | [] -> None)
+  in
+  match lend with
+  | None -> Spawned (Domain.spawn body)
+  | Some (h, fresh) ->
+    let l = { l_mu = Mutex.create (); l_cv = Condition.create (); l_done = false } in
+    Mutex.protect h.h_mu (fun () ->
+        h.h_job <- Some (body, l);
+        Condition.signal h.h_cv);
+    (if fresh then
+       try ignore (Domain.spawn (fun () -> helper_loop h))
+       with e ->
+         Mutex.protect helpers_mu (fun () -> decr nhelpers);
+         raise e);
+    Lent l
+
+(* Start [jobs - 1] copies of [worker], run one on the calling domain,
    join them all, then re-raise any exception that escaped a worker
    body.  [quit] is the shared stop flag item loops poll. *)
 let parallel_run ~jobs ~quit worker =
@@ -107,20 +201,20 @@ let parallel_run ~jobs ~quit worker =
       Atomic.set quit true;
       ignore (Atomic.compare_and_set escaped None (Some e))
   in
-  let spawned = ref [] in
+  let started = ref [] in
   (try
      for _ = 1 to jobs - 1 do
        Fault.hit Fault.Pool_worker_start;
-       spawned := Domain.spawn wrapped :: !spawned
+       started := start wrapped :: !started
      done
    with e ->
      (* Submission failed: stop handing out work, drain by joining what
-        was already spawned, then re-raise deterministically. *)
+        was already started, then re-raise deterministically. *)
      Atomic.set quit true;
-     List.iter Domain.join !spawned;
+     List.iter join !started;
      raise e);
   wrapped ();
-  List.iter Domain.join !spawned;
+  List.iter join !started;
   match Atomic.get escaped with Some e -> raise e | None -> ()
 
 let map_array ?(jobs = 1) ?(clamp = true) ?probe (f : 'a -> 'b)
@@ -215,15 +309,15 @@ let map_array_results ?(jobs = 1) ?(clamp = true) ?probe ?(retry = false)
 (* Persistent executor service                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The maps above spawn domains per call — right for batch suites, wrong
-   for a daemon that must absorb a stream of independent requests
-   without paying a [Domain.spawn] per request.  [Service] keeps a fixed
-   set of worker domains alive behind a mutex/condition work queue;
-   {!submit} blocks the calling (sys)thread until its job has run on
-   some worker and returns the job's outcome as a result.  Blocking is
-   deliberate: the caller is a connection handler thread that has
-   nothing else to do, and the returned result keeps the daemon's
-   failure discipline exception-free.
+(* The maps above serve one call at a time and block their caller until
+   it is done — right for batch suites, wrong for a daemon that must
+   absorb a stream of independent requests from many threads.  [Service]
+   keeps a fixed set of worker domains alive behind a mutex/condition
+   work queue; {!submit} blocks the calling (sys)thread until its job
+   has run on some worker and returns the job's outcome as a result.
+   Blocking is deliberate: the caller is a connection handler thread
+   that has nothing else to do, and the returned result keeps the
+   daemon's failure discipline exception-free.
 
    Shutdown drains: jobs already accepted run to completion, new submits
    are refused with {!Service.Stopped}, and [shutdown] returns only

@@ -2,10 +2,15 @@
 
     [map_array ~jobs f items] behaves exactly like [Array.map f items]
     — same result order, and on failure the exception of the lowest
-    failing index — but runs [f] on up to [jobs] OCaml domains
-    ([jobs - 1] spawned workers plus the calling domain).  [jobs <= 1]
-    or a single item degrades to a plain sequential map with no domain
-    spawned.
+    failing index — but runs [f] on up to [jobs] OCaml domains: the
+    calling domain plus [jobs - 1] helpers.  Helpers are parked domains
+    kept for the life of the process, at most
+    [Domain.recommended_domain_count - 1] of them, lent to one map at a
+    time; when none is idle (nested maps, or [~clamp:false] beyond the
+    machine's domains) the map spawns a one-off domain instead.  A map
+    never waits on a helper that has not started its loop, so nested
+    maps cannot deadlock.  [jobs <= 1] or a single item degrades to a
+    plain sequential map on the calling domain.
 
     By default the domain count is additionally clamped to
     [Domain.recommended_domain_count]: requesting more domains than the
@@ -16,9 +21,10 @@
 
     Resilience guarantees (both variants):
     - a failure during worker {e submission} (a [Domain.spawn] that
-      raises, or an injected {!Fault.Pool_worker_start} fault) joins
-      every already-spawned domain before re-raising — the remaining
-      queue is drained, never leaked;
+      raises, or an injected {!Fault.Pool_worker_start} fault) waits
+      for every helper already lent and joins every domain already
+      spawned before re-raising — the remaining queue is drained, never
+      leaked, and the helpers are idle again;
     - an exception escaping a worker body outside per-item capture is
       re-raised only after every domain has joined;
     - results are always reassembled in input order.

@@ -1,8 +1,10 @@
 (* Differential tests pinning the pre-decoded threaded engine to the
    reference step interpreter: identical outcomes and counters on random
    programs and on the whole benchmark suite, identical trap messages,
-   the same out-of-fuel boundary to the instruction, and deterministic
-   domain-parallel profiling for any job count. *)
+   the same out-of-fuel boundary to the instruction (swept exhaustively
+   over the threaded engine's fused pairs), a clean image on every reuse
+   of the per-domain memory buffer, and deterministic domain-parallel
+   profiling for any job count. *)
 
 module Il = Impact_il.Il
 module Machine = Impact_interp.Machine
@@ -172,14 +174,14 @@ let func ?(nparams = 0) ?(nregs = 1) ?(nlabels = 0) fid name body =
     alive = true;
   }
 
-let one_func_program body ~nregs =
+let one_func_program ?nlabels ?(next_site = 0) body ~nregs =
   {
-    Il.funcs = [| func ~nregs 0 "main" body |];
+    Il.funcs = [| func ~nregs ?nlabels 0 "main" body |];
     globals = [||];
     strings = [||];
     externs = [];
     main = 0;
-    next_site = 0;
+    next_site;
     address_taken = [];
   }
 
@@ -223,6 +225,240 @@ let test_memory_trap_parity () =
       in
       check_same_trap (Printf.sprintf "load at %d" addr) prog)
     [ 0; -8; 1_000_000_000; max_int / 2 ]
+
+(* ------------------------------------------------------------------ *)
+(* Exhaustive fuel sweep over the fused pairs                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The threaded engine runs compare + bnz, mov + jump and bnz + jump as
+   one closure each.  A fused closure must still run out of fuel on the
+   exact IL the reference engine does, so these programs are swept over
+   every fuel from 1 to one past their IL count. *)
+
+(* Every fused pair: all six compares against registers and immediates
+   holding 3, 7 and 9 with r0 = 7 (so each branch goes both ways), each
+   followed by bnz + jump, then mov imm + jump on the taken side and
+   mov reg + jump on the other.  A second copy of each block reaches its
+   bnz + jump through a plain mov, so that pair runs fused too rather
+   than only behind a fused compare.  r12 folds in every branch
+   outcome, in order, and is printed and returned. *)
+let fused_pairs_program () =
+  let body = ref [] and nlabels = ref 0 in
+  let emit i = body := i :: !body in
+  let label () =
+    let l = !nlabels in
+    incr nlabels;
+    l
+  in
+  List.iter emit
+    Il.
+      [
+        Mov (0, Imm 7); Mov (1, Imm 3); Mov (2, Imm 7); Mov (3, Imm 9);
+        Mov (12, Imm 0); Mov (13, Imm 0);
+      ];
+  let block op y ~through_mov =
+    let taken = label () and other = label () and join = label () in
+    emit (Il.Bin (op, 10, Il.Reg 0, y));
+    if through_mov then emit (Il.Mov (14, Il.Reg 10));
+    emit (Il.Bnz (Il.Reg (if through_mov then 14 else 10), taken));
+    emit (Il.Jump other);
+    emit (Il.Label taken);
+    emit (Il.Mov (11, Il.Imm 1));
+    emit (Il.Jump join);
+    emit (Il.Label other);
+    emit (Il.Mov (11, Il.Reg 13));
+    emit (Il.Jump join);
+    emit (Il.Label join);
+    emit (Il.Bin (Il.Shl, 12, Il.Reg 12, Il.Imm 1));
+    emit (Il.Bin (Il.Or, 12, Il.Reg 12, Il.Reg 11))
+  in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun y ->
+          block op y ~through_mov:false;
+          block op y ~through_mov:true)
+        Il.[ Reg 1; Reg 2; Reg 3; Imm 3; Imm 7; Imm 9 ])
+    Il.[ Lt; Le; Gt; Ge; Eq; Ne ];
+  (* A fused compare whose bnz tests another register, and a bnz on an
+     immediate that always falls through to its jump. *)
+  let skip = label () and after = label () in
+  List.iter emit
+    Il.
+      [
+        Bin (Lt, 10, Reg 0, Imm 100); Bnz (Reg 13, skip); Bnz (Imm 0, skip);
+        Jump after; Label skip; Mov (12, Imm 0); Label after;
+        Call_ext (0, "print_int", [ Reg 12 ], None); Ret (Some (Reg 12));
+      ];
+  one_func_program ~nregs:15 ~next_site:1 ~nlabels:!nlabels
+    (Array.of_list (List.rev !body))
+
+(* Each of these falls off the end of main right after a fused pair, so
+   a fused closure that spent its fuel without the guard would trap
+   where the reference engine runs out of fuel. *)
+let fused_tail_programs =
+  List.map
+    (fun (name, nlabels, body) -> (name, one_func_program ~nregs:3 ~nlabels body))
+    Il.
+      [
+        ( "compare + bnz falls through", 2,
+          [|
+            Jump 1; Label 0; Ret (Some (Imm 0)); Label 1; Mov (0, Imm 5);
+            Bin (Lt, 1, Reg 0, Imm 3); Bnz (Reg 1, 0);
+          |] );
+        ( "compare + bnz taken", 1,
+          [| Mov (0, Imm 1); Bin (Ne, 1, Reg 0, Reg 2); Bnz (Reg 1, 0); Ret None; Label 0 |]
+        );
+        ("mov imm + jump", 1, [| Mov (0, Imm 1); Jump 0; Label 0 |]);
+        ("mov reg + jump", 1, [| Mov (0, Imm 1); Mov (1, Reg 0); Jump 0; Label 0 |]);
+        ( "bnz + jump falls through", 1,
+          [| Mov (0, Imm 0); Bnz (Reg 0, 0); Jump 0; Label 0 |] );
+        ("bnz + jump taken", 1, [| Mov (0, Imm 2); Bnz (Reg 0, 0); Jump 0; Label 0 |]);
+      ]
+
+type ending = Finished of Machine.outcome | Raised of string
+
+let run_ending engine ~fuel prog =
+  match Machine.run ~fuel ~engine prog ~input:"" with
+  | o -> Finished o
+  | exception Machine.Out_of_fuel -> Raised "out of fuel"
+  | exception Machine.Trap msg -> Raised ("trap: " ^ msg)
+
+let check_same_ending ctxt t r =
+  match (t, r) with
+  | Finished a, Finished b -> check_outcomes_equal ctxt a b
+  | Raised a, Raised b -> Alcotest.(check string) ctxt b a
+  | Finished _, Raised b -> Alcotest.failf "%s: threaded finished, reference %s" ctxt b
+  | Raised a, Finished _ -> Alcotest.failf "%s: threaded %s, reference finished" ctxt a
+
+let test_fused_fuel_sweep () =
+  let prog = fused_pairs_program () in
+  Alcotest.(check bool) "supported by threaded engine" true (Threaded.supported prog);
+  let ils =
+    (Machine.run ~engine:Machine.Reference prog ~input:"").Machine.counters.Counters.ils
+  in
+  for fuel = 1 to ils + 1 do
+    let ctxt = Printf.sprintf "fuel %d of %d" fuel ils in
+    let t = run_ending Machine.Threaded ~fuel prog
+    and r = run_ending Machine.Reference ~fuel prog in
+    check_same_ending ctxt t r;
+    match t with
+    | Raised "out of fuel" when fuel <= ils -> ()
+    | Finished _ when fuel = ils + 1 -> ()
+    | _ -> Alcotest.failf "%s: out of fuel exactly when fuel <= ils" ctxt
+  done;
+  List.iter
+    (fun (name, prog) ->
+      Alcotest.(check bool) (name ^ " supported") true (Threaded.supported prog);
+      for fuel = 1 to Array.length prog.Il.funcs.(0).Il.body + 1 do
+        check_same_ending
+          (Printf.sprintf "%s, fuel %d" name fuel)
+          (run_ending Machine.Threaded ~fuel prog)
+          (run_ending Machine.Reference ~fuel prog)
+      done)
+    fused_tail_programs
+
+(* ------------------------------------------------------------------ *)
+(* Image reuse                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Both engines draw the memory image from a per-domain buffer and, on
+   reuse, re-zero only the extents the previous run wrote.  A writer
+   dirties the image in every way a run can — a wild store past the heap
+   pointer, a store far below the lowest stack pointer, a byte store at
+   the top of the stack and a [read] into the stack — and readers with a
+   larger and a smaller layout then load those addresses without ever
+   storing to them, which must read zero. *)
+
+let layout ~heap_size ~stack_size =
+  (* No globals or strings: the heap starts at the globals base. *)
+  let heap_start = Impact_interp.Rt.globals_base in
+  let stack_base = heap_start + heap_size in
+  (heap_start, stack_base, stack_base + stack_size)
+
+let writer_sizes = (64 * 1024, 64 * 1024)
+
+(* (address, width) of each write the writer makes. *)
+let written_spots () =
+  let heap_size, stack_size = writer_sizes in
+  let heap_start, stack_base, stack_top = layout ~heap_size ~stack_size in
+  [
+    (heap_start + 1000, Il.Word); (stack_base + 256, Il.Word);
+    (stack_top - 1, Il.Byte); (stack_base, Il.Word);
+  ]
+
+let writer () =
+  match written_spots () with
+  | [ (heap, _); (deep, _); (top, _); (read_at, _) ] ->
+    one_func_program ~nregs:1 ~next_site:1
+      Il.
+        [|
+          Store (Word, Imm heap, Imm 0x1111_2222);
+          Store (Word, Imm deep, Imm (-1));
+          Store (Byte, Imm top, Imm 0xab);
+          Call_ext (0, "read", [ Imm read_at; Imm 8 ], Some 0);
+          Ret (Some (Reg 0));
+        |]
+  | _ -> assert false
+
+(* A reader with the given layout that prints the value at each written
+   spot inside its image; the second component is how many it reads. *)
+let reader (heap_size, stack_size) =
+  let _, _, top = layout ~heap_size ~stack_size in
+  let spots =
+    List.filter
+      (fun (a, w) -> a + (match w with Il.Word -> 8 | Il.Byte -> 1) <= top)
+      (written_spots ())
+  in
+  let body =
+    List.concat
+      (List.mapi
+         (fun i (a, w) ->
+           Il.[ Load (w, 0, Imm a); Call_ext (i, "print_int", [ Reg 0 ], None) ])
+         spots)
+  in
+  ( one_func_program ~nregs:1 ~next_site:(List.length spots)
+      (Array.of_list (body @ [ Il.Ret (Some (Il.Imm 0)) ])),
+    List.length spots )
+
+let test_image_reuse () =
+  let prime = Testutil.compile "int main() { return 0; }" in
+  let heap_size, stack_size = writer_sizes in
+  let larger = (2 * heap_size, stack_size)
+  and smaller = (3 * heap_size / 2, 8 * 1024) in
+  Alcotest.(check int) "the smaller reader cannot reach the writer's stack top"
+    3 (snd (reader smaller));
+  let run engine (heap_size, stack_size) prog input =
+    Machine.run ~engine ~heap_size ~stack_size prog ~input
+  in
+  let engines = [ Machine.Threaded; Machine.Reference ] in
+  List.iter
+    (fun we ->
+      List.iter
+        (fun re ->
+          let ctxt what =
+            Printf.sprintf "%s (%s writer, %s reader)" what
+              (Machine.engine_to_string we) (Machine.engine_to_string re)
+          in
+          let write () =
+            Alcotest.(check int) (ctxt "bytes read") 8
+              (run we writer_sizes (writer ()) "ABCDEFGH").Machine.exit_code
+          in
+          let read what sizes =
+            let prog, nspots = reader sizes in
+            Alcotest.(check string) (ctxt what) (String.make nspots '0')
+              (run re sizes prog "").Machine.output
+          in
+          (* A default-size run first, so that every later image fits
+             the domain's buffer and is a reuse. *)
+          ignore (Machine.run ~engine:we prime ~input:"");
+          write ();
+          read "larger layout reads zeros" larger;
+          write ();
+          read "smaller layout reads zeros" smaller;
+          read "larger layout after a smaller one reads zeros" larger)
+        engines)
+    engines
 
 (* ------------------------------------------------------------------ *)
 (* Fallback for unsupported programs                                   *)
@@ -329,6 +565,10 @@ let tests =
       Alcotest.test_case "profiling is deterministic across job counts" `Quick
         test_jobs_deterministic;
       Alcotest.test_case "out-of-fuel boundary parity" `Quick test_fuel_boundary;
+      Alcotest.test_case "fused pairs: exhaustive fuel sweep" `Quick
+        test_fused_fuel_sweep;
+      Alcotest.test_case "image reuse re-zeroes what the last run wrote" `Quick
+        test_image_reuse;
       Alcotest.test_case "trap parity" `Quick test_trap_parity;
       Alcotest.test_case "memory trap parity" `Quick test_memory_trap_parity;
       Alcotest.test_case "unsupported programs fall back to reference" `Quick

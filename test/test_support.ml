@@ -213,6 +213,64 @@ let test_pool_worker_finish_fault () =
       | _ -> Alcotest.fail "expected the sequential worker-finish fault"
       | exception Fault.Injected Fault.Pool_worker_finish -> ())
 
+(* Maps borrow parked helper domains.  A map inside a map finds the
+   helpers busy and spawns one-off domains instead of waiting for one,
+   so nesting terminates, and order holds at both levels. *)
+let test_pool_nested () =
+  let inner i =
+    Pool.map_array ~jobs:2 ~clamp:false (fun j -> (100 * i) + j) (Array.init 5 Fun.id)
+  in
+  Alcotest.(check (array (array int))) "nested maps keep order"
+    (Array.init 8 (fun i -> Array.init 5 (fun j -> (100 * i) + j)))
+    (Pool.map_array ~jobs:2 ~clamp:false inner (Array.init 8 Fun.id));
+  Alcotest.(check (list int)) "nested results maps keep order"
+    (List.init 6 (fun i -> (100 * i) + 4))
+    (List.map
+       (function Ok v -> v | Error e -> raise e)
+       (Pool.map_list_results ~jobs:2 ~clamp:false (fun i -> (inner i).(4))
+          (List.init 6 Fun.id)))
+
+(* The second submission faults after the first has already borrowed a
+   helper (or, with every helper busy, spawned a domain): the map waits
+   for it, re-raises, and leaves the helper idle for the next map. *)
+let test_pool_fault_while_lent () =
+  Fault.with_point Fault.Pool_worker_start ~after:1 (fun () ->
+      match
+        Pool.map_array ~jobs:3 ~clamp:false (fun i -> i) (Array.init 64 Fun.id)
+      with
+      | _ -> Alcotest.fail "expected the second submission to fault"
+      | exception Fault.Injected Fault.Pool_worker_start -> ());
+  Alcotest.(check (array int)) "next map succeeds"
+    (Array.init 64 (fun i -> i + 1))
+    (Pool.map_array ~jobs:3 ~clamp:false (fun i -> i + 1) (Array.init 64 Fun.id))
+
+(* Helpers persist across maps: fifty clamped maps run on at most the
+   recommended number of distinct domains (the caller plus the parked
+   helpers), where spawning per map would show a fresh domain id each
+   time.  On a one-domain host the maps run sequentially on the caller
+   and this check holds vacuously. *)
+let test_pool_helpers_persist () =
+  let mu = Mutex.create () in
+  let domains = Hashtbl.create 8 in
+  let probe (s : Pool.task_sample) =
+    Mutex.protect mu (fun () -> Hashtbl.replace domains s.Pool.ts_domain ())
+  in
+  for _ = 1 to 50 do
+    ignore
+      (Pool.map_array ~jobs:(Pool.default_jobs ()) ~probe
+         (fun i ->
+           let s = ref 0 in
+           for k = 1 to 2000 do
+             s := !s + (k * i)
+           done;
+           !s)
+         (Array.init 64 Fun.id))
+  done;
+  let seen = Hashtbl.length domains in
+  if seen > Domain.recommended_domain_count () then
+    Alcotest.failf "50 maps ran on %d distinct domains, more than the %d recommended"
+      seen (Domain.recommended_domain_count ())
+
 let test_pool_results_retry () =
   (* A transient failure succeeds on the single deterministic retry. *)
   let attempts = Array.make 8 0 in
@@ -309,3 +367,10 @@ let tests =
       test_pool_results_order;
   ]
   @ List.map QCheck_alcotest.to_alcotest props
+  @ [
+      Alcotest.test_case "pool nested maps" `Quick test_pool_nested;
+      Alcotest.test_case "pool submission fault while a helper is lent" `Quick
+        test_pool_fault_while_lent;
+      Alcotest.test_case "pool helpers persist across maps" `Quick
+        test_pool_helpers_persist;
+    ]
