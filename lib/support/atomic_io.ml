@@ -7,8 +7,9 @@
 
 let tmp_path path = path ^ ".tmp"
 
-let with_file path write =
-  let tmp = tmp_path path in
+(* Fill [tmp] through [write]; if [write] raises, remove [tmp] and
+   re-raise. *)
+let fill tmp write =
   let oc = open_out tmp in
   (match write oc with
   | () -> ()
@@ -16,7 +17,13 @@ let with_file path write =
     close_out_noerr oc;
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e);
-  close_out oc;
+  close_out oc
+
+let with_file path write =
+  let tmp = tmp_path path in
+  fill tmp write;
   Sys.rename tmp path
 
 let write_string path contents = with_file path (fun oc -> output_string oc contents)
+
+let write_temp tmp contents = fill tmp (fun oc -> output_string oc contents)
