@@ -87,10 +87,9 @@ let guard_profiling (costs : Perf.profiling_cost list) =
   let counted = sites (fun pc -> pc.Perf.pc_counted_sites) in
   let all_sites = sites (fun pc -> pc.Perf.pc_total_sites) in
   Printf.printf
-    "  profiling modes: full %.0f ms, min %.0f ms, sampled %.0f ms over the \
-     suite; min instruments %d of %d sites (%.0f%%)\n"
-    (total Coverage.Full) (total Coverage.Min) (total Coverage.Sampled) counted
-    all_sites
+    "  profiling modes: full %.0f ms, min %.0f ms over the suite; min \
+     instruments %d of %d sites (%.0f%%)\n"
+    (total Coverage.Full) (total Coverage.Min) counted all_sites
     (100. *. float_of_int counted /. float_of_int (max all_sites 1));
   Printf.printf "  profiling guard ok: min <= full on every benchmark \
                  (tolerance %g%%)\n"

@@ -204,22 +204,13 @@ module Coverage = Impact_profile.Coverage
 let profile_mode_arg =
   Arg.(
     value
-    & opt
-        (enum
-           [
-             ("full", Coverage.Full);
-             ("min", Coverage.Min);
-             ("sampled", Coverage.Sampled);
-           ])
-        Coverage.Full
+    & opt (enum [ ("full", Coverage.Full); ("min", Coverage.Min) ]) Coverage.Full
     & info [ "profile-mode" ] ~docv:"MODE"
         ~doc:
           "Profiling instrumentation: $(b,full) counts every call site (the \
            default); $(b,min) instruments only a minimum-coverage subset of \
            sites and reconstructs the rest exactly from flow conservation — \
-           the profile is bit-identical to $(b,full) at lower run-time cost; \
-           $(b,sampled) counts sites on a periodic fuel phase and scales up — \
-           cheapest, but approximate and marked as such")
+           the profile is bit-identical to $(b,full) at lower run-time cost")
 
 (* Speculative devirtualization: --devirt rewrites indirect call sites
    whose value profile shows one dominant target into a guarded direct
@@ -389,14 +380,7 @@ let report_coverage (c : Profiler.coverage) =
       c.Profiler.counted_sites c.Profiler.total_sites
       (100.
       *. float_of_int c.Profiler.counted_sites
-      /. float_of_int (max c.Profiler.total_sites 1));
-  match c.Profiler.sample_coverage with
-  | Some cov ->
-    Printf.eprintf
-      "impactc: site weights are sampled (approximate); scaled samples cover \
-       %.1f%% of dynamic calls\n"
-      (100. *. cov)
-  | None -> ()
+      /. float_of_int (max c.Profiler.total_sites 1))
 
 let profile_cmd =
   let run src inputs output engine jobs timeout mode =
@@ -456,15 +440,14 @@ let inline_cmd =
           match profile_file with
           | None -> profile_dynamically ()
           | Some path -> (
-            (* The saved profile is validated against this very program
-               and the requested mode: a corrupt file, a checksum
-               recorded for different IL, or a profile collected under a
-               different instrumentation mode is a typed stale-profile
-               error.  Strict aborts; degrade re-profiles, and if that
-               fails too, falls back to static weights (no inlining). *)
-            match
-              Profile_io.load ~expect_checksum:checksum ~expect_mode:mode path
-            with
+            (* The saved profile is validated against this very program:
+               a corrupt file, a checksum recorded for different IL, or
+               a header naming an unknown mode is a typed profile-io
+               error.  Both modes are exact, so a profile saved under
+               either answers both.  Strict aborts; degrade re-profiles,
+               and if that fails too, falls back to static weights (no
+               inlining). *)
+            match Profile_io.load ~expect_checksum:checksum path with
             | Ok p -> p
             | Error e -> (
               match policy with

@@ -162,10 +162,9 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
          mode, the program's checksum and the raw input bytes; the
          payload carries the averaged profile plus each run's (digest,
          exit code) pair, so a warm rerun can still verify outputs
-         without executing anything.  The mode is part of the key even
-         though [Min] profiles are bit-identical to [Full] ones: a
-         [Sampled] profile is approximate, and conflating it with an
-         exact entry would silently serve stale weights. *)
+         without executing anything.  The mode stays part of the key
+         although [Min] profiles are bit-identical to [Full] ones, so
+         entry keys do not change with the set of modes. *)
       let profile_key_of sum =
         lazy
           (Cache.key
@@ -173,67 +172,72 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
              :: ("mode-" ^ Impact_profile.Coverage.mode_name profile_mode)
              :: Lazy.force sum :: inputs))
       in
-      let prog_sum = lazy (Impact_profile.Profile_io.program_checksum prog) in
-      let profile_key = profile_key_of prog_sum in
-      (* Only counters and digests are consumed downstream, so neither
-         profiling pass needs to hold every run's output text. *)
-      let static_fallback = ref false in
-      let profile, runs, pre_failures =
+      (* One profiling pass, before or after inlining: the cached entry
+         when there is one, otherwise a sweep under the policy.  Strict
+         raises a typed [Profile_run] error.  Degrade retries a failing
+         run once and then drops it, noting both, and returns [Error]
+         only when the sweep fails as a whole; each caller keeps its own
+         fallback.  Only counters and digests are consumed downstream,
+         so no pass holds every run's output text.  A sweep is stored
+         only when it kept every run and noted nothing. *)
+      let profile_pass ~span ~what ~avg prog key =
         match
-          if profile_cacheable then
-            cache_find ~stage:"profile" ~key:profile_key
-          else None
+          if profile_cacheable then cache_find ~stage:"profile" ~key else None
         with
-        | Some (profile, pairs) -> (profile, pairs, [])
-        | None ->
+        | Some (profile, pairs) -> Ok (profile, pairs, [])
+        | None -> (
           let since = clean_mark () in
-          let profile, runs, failures =
+          let sweep ?tolerant ?on_retry () =
+            Obs.span obs span (fun () ->
+                Profiler.profile ?budget ?fuel ~obs ?engine ?jobs
+                  ~keep_outputs:false ?tolerant ?on_retry ~mode:profile_mode
+                  prog ~inputs)
+          in
+          let failed fmt i e =
+            note Ierr.Profile_run
+              (Printf.sprintf fmt what i (exn_detail Ierr.Profile_run e))
+          in
+          let swept =
             match policy with
-            | Strict ->
-              let { Profiler.profile; runs; _ } =
-                Errors.guard Ierr.Profile_run (fun () ->
-                    Obs.span obs "profile" (fun () ->
-                        Profiler.profile ?budget ?fuel ~obs ?engine ?jobs
-                          ~keep_outputs:false ~mode:profile_mode prog ~inputs))
-              in
-              (profile, List.map outcome_pair runs, [])
+            | Strict -> Ok (Errors.guard Ierr.Profile_run (fun () -> sweep ()))
             | Degrade -> (
-              try
-                let { Profiler.profile; runs; failures; _ } =
-                  Obs.span obs "profile" (fun () ->
-                      Profiler.profile ?budget ?fuel ~obs ?engine ?jobs
-                        ~keep_outputs:false ~tolerant:true ~mode:profile_mode
-                        ~on_retry:(fun i e ->
-                          note Ierr.Profile_run
-                            (Printf.sprintf "run on input %d failed (%s)" i
-                               (exn_detail Ierr.Profile_run e))
-                            "retried once")
-                        prog ~inputs)
-                in
+              match
+                sweep ~tolerant:true
+                  ~on_retry:(fun i e ->
+                    failed "%s on input %d failed (%s)" i e "retried once")
+                  ()
+              with
+              | r ->
                 List.iter
                   (fun (i, e) ->
-                    note Ierr.Profile_run
-                      (Printf.sprintf "run on input %d failed after retry (%s)"
-                         i
-                         (exn_detail Ierr.Profile_run e))
-                      "dropped from profile average")
-                  failures;
-                (profile, List.map outcome_pair runs, failures)
-              with e ->
-                static_fallback := true;
-                note Ierr.Profile_run
-                  (Printf.sprintf "profiling failed (%s)"
-                     (exn_detail Ierr.Profile_run e))
-                  "fell back to static uniform weights (no inlining)";
-                (Profile.static_uniform ~nfuncs ~nsites, [], []))
+                    failed "%s on input %d failed after retry (%s)" i e
+                      ("dropped from " ^ avg))
+                  r.Profiler.failures;
+                Ok r
+              | exception e -> Error e)
           in
-          if
-            profile_cacheable && failures = []
-            && (not !static_fallback)
-            && clean since
-          then
-            cache_put ~stage:"profile" ~key:profile_key (profile, runs);
-          (profile, runs, failures)
+          match swept with
+          | Error e -> Error e
+          | Ok { Profiler.profile; runs; failures; _ } ->
+            let pairs = List.map outcome_pair runs in
+            if profile_cacheable && failures = [] && clean since then
+              cache_put ~stage:"profile" ~key (profile, pairs);
+            Ok (profile, pairs, failures))
+      in
+      let prog_sum = lazy (Impact_profile.Profile_io.program_checksum prog) in
+      let pre =
+        profile_pass ~span:"profile" ~what:"run" ~avg:"profile average" prog
+          (profile_key_of prog_sum)
+      in
+      let profile, runs, pre_failures =
+        match pre with
+        | Ok r -> r
+        | Error e ->
+          note Ierr.Profile_run
+            (Printf.sprintf "profiling failed (%s)"
+               (exn_detail Ierr.Profile_run e))
+            "fell back to static uniform weights (no inlining)";
+          (Profile.static_uniform ~nfuncs ~nsites, [], [])
       in
       let profile_sum =
         lazy (Impact_profile.Profile_io.profile_checksum profile)
@@ -241,35 +245,41 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
       let config_fp = Config.fingerprint config in
       (* Classification depends on the program, the profile's content,
          the config, and which pointer-target analysis actually ran (the
-         post pass never refines, whatever the config says). *)
-      let classify_key_of ~tag ~prog_sum ~profile_sum ~refine =
-        lazy
-          (Cache.key
-             [ "classify"; tag; Lazy.force prog_sum; Lazy.force profile_sum;
-               config_fp; string_of_bool refine ])
-      in
-      let classified =
+         post pass never refines, whatever the config says).  The pre
+         pass spans its call-graph build; the post pass does not. *)
+      let classify_pass ~tag ?graph_span ~span ~refine prog prog_sum profile
+          profile_sum =
         let key =
-          classify_key_of ~tag:"pre" ~prog_sum ~profile_sum
-            ~refine:config.Config.refine_pointer_targets
+          lazy
+            (Cache.key
+               [ "classify"; tag; Lazy.force prog_sum; Lazy.force profile_sum;
+                 config_fp; string_of_bool refine ])
         in
         match cache_find ~stage:"classify" ~key with
         | Some cl -> cl
         | None ->
+          let build () =
+            Callgraph.build ~refine_pointer_targets:refine prog profile
+          in
           let graph =
             Errors.guard Ierr.Callgraph (fun () ->
-                Obs.span obs "callgraph" (fun () ->
-                    Callgraph.build
-                      ~refine_pointer_targets:
-                        config.Config.refine_pointer_targets prog profile))
+                match graph_span with
+                | Some name -> Obs.span obs name build
+                | None -> build ())
           in
           let cl =
             Errors.guard Ierr.Select (fun () ->
-                Obs.span obs "classify" (fun () ->
-                    Classify.classify ~obs ~stage:"classify.pre" graph config))
+                Obs.span obs span (fun () ->
+                    Classify.classify ~obs ~stage:("classify." ^ tag) graph
+                      config))
           in
           cache_put ~stage:"classify" ~key cl;
           cl
+      in
+      let classified =
+        classify_pass ~tag:"pre" ~graph_span:"callgraph" ~span:"classify"
+          ~refine:config.Config.refine_pointer_targets prog prog_sum profile
+          profile_sum
       in
       (* Expansion failures are typed at the source: in Strict they abort
          with a caller-naming [Expand] error; in Degrade the caller is
@@ -355,7 +365,6 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
       let post_sum =
         lazy (Impact_profile.Profile_io.program_checksum post_prog)
       in
-      let post_profile_key = profile_key_of post_sum in
       (* Positional comparison of pre- and post-expansion runs; under
          Degrade the two passes may have dropped different inputs, so
          failures are scattered back onto input positions first. *)
@@ -372,105 +381,37 @@ let run ?(obs = Obs.null) ?(policy = Strict) ?(config = Config.default)
         done;
         !matches
       in
+      let static_post () =
+        Profile.static_uniform
+          ~nfuncs:(Array.length post_prog.Il.funcs)
+          ~nsites:post_prog.Il.next_site
+      in
       let post_profile, outputs_match =
-        if !static_fallback then (
+        if Result.is_error pre then (
           (* No dynamic behaviour was ever observed; the expanded program
              equals the no-inlining baseline, so re-running it could only
              repeat the original failure. *)
           note Ierr.Profile_run "no dynamic profile to compare against"
             "re-profile skipped; post metrics are static";
-          ( Profile.static_uniform
-              ~nfuncs:(Array.length post_prog.Il.funcs)
-              ~nsites:post_prog.Il.next_site,
-            true ))
+          (static_post (), true))
         else
           match
-            if profile_cacheable then
-              cache_find ~stage:"profile" ~key:post_profile_key
-            else None
+            profile_pass ~span:"re_profile" ~what:"re-profile run"
+              ~avg:"post-inline average" post_prog (profile_key_of post_sum)
           with
-          | Some (post_profile, post_pairs) ->
-            (post_profile, compare_runs post_pairs [])
-          | None -> (
-            match policy with
-            | Strict ->
-              let { Profiler.profile = post_profile; runs = post_runs; _ } =
-                Errors.guard Ierr.Profile_run (fun () ->
-                    Obs.span obs "re_profile" (fun () ->
-                        Profiler.profile ?budget ?fuel ~obs ?engine ?jobs
-                          ~keep_outputs:false ~mode:profile_mode post_prog
-                          ~inputs))
-              in
-              let post_pairs = List.map outcome_pair post_runs in
-              if profile_cacheable then
-                cache_put ~stage:"profile" ~key:post_profile_key
-                  (post_profile, post_pairs);
-              (post_profile, compare_runs post_pairs [])
-            | Degrade -> (
-              let since = clean_mark () in
-              try
-                let {
-                  Profiler.profile = post_profile;
-                  runs = post_runs;
-                  failures = post_failures;
-                  _;
-                } =
-                  Obs.span obs "re_profile" (fun () ->
-                      Profiler.profile ?budget ?fuel ~obs ?engine ?jobs
-                        ~keep_outputs:false ~tolerant:true ~mode:profile_mode
-                        ~on_retry:(fun i e ->
-                          note Ierr.Profile_run
-                            (Printf.sprintf
-                               "re-profile run on input %d failed (%s)" i
-                               (exn_detail Ierr.Profile_run e))
-                            "retried once")
-                      post_prog ~inputs)
-                in
-                List.iter
-                  (fun (i, e) ->
-                    note Ierr.Profile_run
-                      (Printf.sprintf
-                         "re-profile run on input %d failed after retry (%s)" i
-                         (exn_detail Ierr.Profile_run e))
-                      "dropped from post-inline average")
-                  post_failures;
-                let post_pairs = List.map outcome_pair post_runs in
-                if profile_cacheable && post_failures = [] && clean since then
-                  cache_put ~stage:"profile" ~key:post_profile_key
-                    (post_profile, post_pairs);
-                (post_profile, compare_runs post_pairs post_failures)
-              with e ->
-                note Ierr.Profile_run
-                  (Printf.sprintf "re-profiling failed (%s)"
-                     (exn_detail Ierr.Profile_run e))
-                  "post metrics are static; outputs unverified";
-                ( Profile.static_uniform
-                    ~nfuncs:(Array.length post_prog.Il.funcs)
-                    ~nsites:post_prog.Il.next_site,
-                  false )))
+          | Ok (post_profile, post_pairs, post_failures) ->
+            (post_profile, compare_runs post_pairs post_failures)
+          | Error e ->
+            note Ierr.Profile_run
+              (Printf.sprintf "re-profiling failed (%s)"
+                 (exn_detail Ierr.Profile_run e))
+              "post metrics are static; outputs unverified";
+            (static_post (), false)
       in
       let post_classified =
-        let key =
-          classify_key_of ~tag:"post" ~prog_sum:post_sum
-            ~profile_sum:
-              (lazy (Impact_profile.Profile_io.profile_checksum post_profile))
-            ~refine:false
-        in
-        match cache_find ~stage:"classify" ~key with
-        | Some cl -> cl
-        | None ->
-          let post_graph =
-            Errors.guard Ierr.Callgraph (fun () ->
-                Callgraph.build post_prog post_profile)
-          in
-          let cl =
-            Errors.guard Ierr.Select (fun () ->
-                Obs.span obs "post_classify" (fun () ->
-                    Classify.classify ~obs ~stage:"classify.post" post_graph
-                      config))
-          in
-          cache_put ~stage:"classify" ~key cl;
-          cl
+        classify_pass ~tag:"post" ~span:"post_classify" ~refine:false post_prog
+          post_sum post_profile
+          (lazy (Impact_profile.Profile_io.profile_checksum post_profile))
       in
       let c_lines = count_c_lines bench.Benchmark.source in
       Obs.gauge_int obs "pipeline.c_lines" c_lines;

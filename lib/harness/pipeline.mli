@@ -74,8 +74,7 @@ type result = {
     {!Impact_profile.Coverage.Full}) selects the instrumentation mode
     for both profiling passes: [Min] counts only the co-forest call
     sites and reconstructs the rest exactly (bit-identical result,
-    cheaper runs); [Sampled] is approximate (see
-    {!Impact_profile.Profiler.profile}).
+    cheaper runs).
 
     [cache] makes the run incremental: each expensive stage — front end
     (keyed by source text), the two profiling passes (keyed by program

@@ -16,15 +16,7 @@
    for such a run, so the profiling driver detects the flag and redoes
    the sweep fully instrumented. *)
 
-type kind =
-  | Exact  (** elided counts are reconstructed exactly by flow inference *)
-  | Sampled of int
-      (** site counts are recorded only when the run's remaining fuel is
-          a multiple of the period; inference scales them back up, so
-          the resulting arc weights are approximate *)
-
 type t = {
-  kind : kind;
   site_counted : bool array;
       (** per site id: store into the per-site count array *)
   site_scalar : bool array;
@@ -36,9 +28,8 @@ type t = {
           [ind_ok] false; the driver must re-profile fully instrumented *)
 }
 
-let create ~kind ~nsites ~nfuncs =
+let create ~nsites ~nfuncs =
   {
-    kind;
     site_counted = Array.make (max nsites 1) true;
     site_scalar = Array.make (max nsites 1) true;
     ind_ok = Array.make (max nfuncs 1) true;

@@ -12,15 +12,7 @@
     A plan is immutable after construction apart from [poisoned], so one
     plan is shared read-only across every domain of a profiling pool. *)
 
-type kind =
-  | Exact
-      (** every elided count is recovered exactly by flow conservation *)
-  | Sampled of int
-      (** site counts are stored only when the remaining fuel is a
-          multiple of the period; the reconstruction is approximate *)
-
 type t = {
-  kind : kind;
   site_counted : bool array;
       (** per site id: store into the per-site count array *)
   site_scalar : bool array;
@@ -34,10 +26,10 @@ type t = {
           the profiling driver re-runs fully instrumented *)
 }
 
-(** [create ~kind ~nsites ~nfuncs] is a plan that counts everything:
+(** [create ~nsites ~nfuncs] is a plan that counts everything:
     all sites counted, all scalars kept, every fid an expected indirect
     target.  Callers clear individual entries to elide arcs. *)
-val create : kind:kind -> nsites:int -> nfuncs:int -> t
+val create : nsites:int -> nfuncs:int -> t
 
 (** [poisoned t] — did any run under this plan take an indirect call the
     plan's inference cannot account for? *)

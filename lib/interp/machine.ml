@@ -69,10 +69,7 @@ let run_reference ?budget ?(fuel = 1_000_000_000) ?(heap_size = 4 * 1024 * 1024)
   let nfuncs = Array.length prog.Il.funcs in
   (* Instrumentation-plan-aware call counting.  Without a plan this is
      exactly the historical full counting; with one, elided sites skip
-     the scalar and/or per-site bumps (Exact) or gate the per-site bump
-     on the fuel phase (Sampled).  The fuel value read by the sampled
-     gate is post-decrement — the same value the threaded engine's
-     closures see — so both engines sample identical events. *)
+     the scalar and/or per-site bumps. *)
   let count_site ~ext site =
     let cnt = st.Rt.counters in
     match plan with
@@ -80,20 +77,13 @@ let run_reference ?budget ?(fuel = 1_000_000_000) ?(heap_size = 4 * 1024 * 1024)
       cnt.Counters.calls <- cnt.Counters.calls + 1;
       if ext then cnt.Counters.ext_calls <- cnt.Counters.ext_calls + 1;
       cnt.Counters.site_counts.(site) <- cnt.Counters.site_counts.(site) + 1
-    | Some pl -> (
-      match pl.Iplan.kind with
-      | Iplan.Exact ->
-        if pl.Iplan.site_scalar.(site) then begin
-          cnt.Counters.calls <- cnt.Counters.calls + 1;
-          if ext then cnt.Counters.ext_calls <- cnt.Counters.ext_calls + 1
-        end;
-        if pl.Iplan.site_counted.(site) then
-          cnt.Counters.site_counts.(site) <- cnt.Counters.site_counts.(site) + 1
-      | Iplan.Sampled period ->
+    | Some pl ->
+      if pl.Iplan.site_scalar.(site) then begin
         cnt.Counters.calls <- cnt.Counters.calls + 1;
-        if ext then cnt.Counters.ext_calls <- cnt.Counters.ext_calls + 1;
-        if st.Rt.fuel mod period = 0 then
-          cnt.Counters.site_counts.(site) <- cnt.Counters.site_counts.(site) + 1)
+        if ext then cnt.Counters.ext_calls <- cnt.Counters.ext_calls + 1
+      end;
+      if pl.Iplan.site_counted.(site) then
+        cnt.Counters.site_counts.(site) <- cnt.Counters.site_counts.(site) + 1
   in
   (* An indirect call that reaches a function whose incoming arc the
      plan elided (only possible through a fabricated integer address)

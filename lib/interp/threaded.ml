@@ -317,13 +317,11 @@ let[@inline] count_ext c site =
   let cnt = c.cnt in
   cnt.Counters.ext_calls <- cnt.Counters.ext_calls + 1
 
-(* Plan-selected counting variants (minimum-coverage / sampled
-   profiling).  An elided direct site keeps neither the scalar nor the
-   per-site count; an elided external site keeps its scalars (so the
-   run-level calls / ext-calls / returns totals stay exact) and skips
-   only the per-site store.  The sampled variants gate the per-site
-   store on the post-decrement fuel value, which the reference engine's
-   gate reads at the identical point of the instruction stream. *)
+(* Plan-selected counting variants (minimum-coverage profiling).  An
+   elided direct site keeps neither the scalar nor the per-site count;
+   an elided external site keeps its scalars (so the run-level calls /
+   ext-calls / returns totals stay exact) and skips only the per-site
+   store. *)
 
 let[@inline] count_call_scalar c =
   let cnt = c.cnt in
@@ -338,15 +336,7 @@ let[@inline] count_site_only c site =
   let sc = c.cnt.Counters.site_counts in
   Array.unsafe_set sc site (Array.unsafe_get sc site + 1)
 
-let[@inline] count_call_sampled c site period =
-  count_call_scalar c;
-  if c.fuel mod period = 0 then count_site_only c site
-
-let[@inline] count_ext_sampled c site period =
-  count_ext_scalar c;
-  if c.fuel mod period = 0 then count_site_only c site
-
-(* Indirect-site target histograms are never elided or sampled: the
+(* Indirect-site target histograms are never elided: the
    counts cannot be re-attributed to a callee afterwards, so the value
    profile must stay exact under every coverage mode (both the devirt
    pass and the full|min differential rely on that). *)
@@ -423,8 +413,7 @@ let decode_ext_full (code : op array) next site name args retc : op =
       (Array.unsafe_get code next) c
 
 (* External calls whose counting the plan altered (the elided site of a
-   minimum-coverage plan, or every site of a sampled one).  The external
-   itself stays specialised; only the counting goes through [count],
+   minimum-coverage plan).  The external itself stays specialised; only the counting goes through [count],
    chosen once at decode time. *)
 let decode_ext_by (code : op array) next name args retc (count : ctx -> unit) :
     op =
@@ -1010,40 +999,31 @@ and decode_instr c ltab (code : op array) next (instr : Il.instr) : op option =
     match c.plan with
     | None -> Some counted
     | Some pl -> (
-      match pl.Iplan.kind with
-      | Iplan.Exact -> (
-        (* The variant is fixed here, at decode time: an elided site's
-           closure simply has no counting code in it. *)
-        match
-          ( Array.unsafe_get pl.Iplan.site_scalar site,
-            Array.unsafe_get pl.Iplan.site_counted site )
-        with
-        | true, true -> Some counted
-        | false, false ->
-          Some
-            (fun c ->
-              tick c;
-              enter c df argsenc retc next;
-              (Array.unsafe_get c.code 0) c)
-        | true, false ->
-          Some
-            (fun c ->
-              tick c;
-              count_call_scalar c;
-              enter c df argsenc retc next;
-              (Array.unsafe_get c.code 0) c)
-        | false, true ->
-          Some
-            (fun c ->
-              tick c;
-              count_site_only c site;
-              enter c df argsenc retc next;
-              (Array.unsafe_get c.code 0) c))
-      | Iplan.Sampled period ->
+      (* The variant is fixed here, at decode time: an elided site's
+         closure simply has no counting code in it. *)
+      match
+        ( Array.unsafe_get pl.Iplan.site_scalar site,
+          Array.unsafe_get pl.Iplan.site_counted site )
+      with
+      | true, true -> Some counted
+      | false, false ->
         Some
           (fun c ->
             tick c;
-            count_call_sampled c site period;
+            enter c df argsenc retc next;
+            (Array.unsafe_get c.code 0) c)
+      | true, false ->
+        Some
+          (fun c ->
+            tick c;
+            count_call_scalar c;
+            enter c df argsenc retc next;
+            (Array.unsafe_get c.code 0) c)
+      | false, true ->
+        Some
+          (fun c ->
+            tick c;
+            count_site_only c site;
             enter c df argsenc retc next;
             (Array.unsafe_get c.code 0) c)))
   | Il.Call_ind (site, target, args, ret) -> (
@@ -1069,74 +1049,50 @@ and decode_instr c ltab (code : op array) next (instr : Il.instr) : op option =
     | Some pl ->
       (* Indirect sites are never elided (the counts cannot be
          attributed to a callee afterwards); under a plan they count
-         fully — or fuel-gated when sampled — and additionally verify
-         the resolved target against [Iplan.ind_ok]: an unexpected
-         target (a fabricated integer address) poisons the plan so the
-         driver re-profiles fully instrumented.  {!get_dfunc_ind} pays
-         that check once per target and caches the result, so the
-         steady-state path costs the same as the plan-less variant. *)
-      match pl.Iplan.kind with
-      | Iplan.Exact ->
-        Some
-          (fun c ->
-            tick c;
-            count_call c site;
-            let tv = get c.regs et in
-            match Rt.fid_of_addr tv c.nfuncs with
-            | Some fid when c.prog.Il.funcs.(fid).Il.alive ->
-              count_ind_target c site fid;
-              enter c (get_dfunc_ind c pl fid) argsenc retc next;
-              (Array.unsafe_get c.code 0) c
-            | Some fid ->
-              Rt.trap "indirect call to dead function %s"
-                c.prog.Il.funcs.(fid).Il.name
-            | None -> Rt.trap "indirect call through bad pointer %d" tv)
-      | Iplan.Sampled period ->
-        Some
-          (fun c ->
-            tick c;
-            count_call_sampled c site period;
-            let tv = get c.regs et in
-            match Rt.fid_of_addr tv c.nfuncs with
-            | Some fid when c.prog.Il.funcs.(fid).Il.alive ->
-              count_ind_target c site fid;
-              enter c (get_dfunc_ind c pl fid) argsenc retc next;
-              (Array.unsafe_get c.code 0) c
-            | Some fid ->
-              Rt.trap "indirect call to dead function %s"
-                c.prog.Il.funcs.(fid).Il.name
-            | None -> Rt.trap "indirect call through bad pointer %d" tv))
+         fully and additionally verify the resolved target against
+         [Iplan.ind_ok]: an unexpected target (a fabricated integer
+         address) poisons the plan so the driver re-profiles fully
+         instrumented.  {!get_dfunc_ind} pays that check once per
+         target and caches the result, so the steady-state path costs
+         the same as the plan-less variant. *)
+      Some
+        (fun c ->
+          tick c;
+          count_call c site;
+          let tv = get c.regs et in
+          match Rt.fid_of_addr tv c.nfuncs with
+          | Some fid when c.prog.Il.funcs.(fid).Il.alive ->
+            count_ind_target c site fid;
+            enter c (get_dfunc_ind c pl fid) argsenc retc next;
+            (Array.unsafe_get c.code 0) c
+          | Some fid ->
+            Rt.trap "indirect call to dead function %s"
+              c.prog.Il.funcs.(fid).Il.name
+          | None -> Rt.trap "indirect call through bad pointer %d" tv))
   | Il.Call_ext (site, name, args, ret) -> (
     let retc = match ret with Some r -> r | None -> -1 in
     match c.plan with
     | None -> Some (decode_ext_full code next site name args retc)
-    | Some pl -> (
-      match pl.Iplan.kind with
-      | Iplan.Exact ->
-        if
-          Array.unsafe_get pl.Iplan.site_scalar site
-          && Array.unsafe_get pl.Iplan.site_counted site
-        then
-          (* Fully counted sites compile to the exact same closures as
-             the plan-less engine — min-mode pays nothing on them. *)
-          Some (decode_ext_full code next site name args retc)
-        else if
-          pl.Iplan.site_scalar.(site) && not pl.Iplan.site_counted.(site)
-        then
-          (* The one elidable external: scalars inlined, site store
-             dropped — strictly less work than the full path. *)
-          Some (decode_ext_scalar code next name args retc)
-        else
-          let do_scalar = pl.Iplan.site_scalar.(site)
-          and do_site = pl.Iplan.site_counted.(site) in
-          Some
-            (decode_ext_by code next name args retc (fun c ->
-                 if do_scalar then count_ext_scalar c;
-                 if do_site then count_site_only c site))
-      | Iplan.Sampled period ->
+    | Some pl ->
+      if
+        Array.unsafe_get pl.Iplan.site_scalar site
+        && Array.unsafe_get pl.Iplan.site_counted site
+      then
+        (* Fully counted sites compile to the exact same closures as
+           the plan-less engine — min-mode pays nothing on them. *)
+        Some (decode_ext_full code next site name args retc)
+      else if pl.Iplan.site_scalar.(site) && not pl.Iplan.site_counted.(site)
+      then
+        (* The one elidable external: scalars inlined, site store
+           dropped — strictly less work than the full path. *)
+        Some (decode_ext_scalar code next name args retc)
+      else
+        let do_scalar = pl.Iplan.site_scalar.(site)
+        and do_site = pl.Iplan.site_counted.(site) in
         Some
           (decode_ext_by code next name args retc (fun c ->
-               count_ext_sampled c site period))))
+               if do_scalar then count_ext_scalar c;
+               if do_site then count_site_only c site)))
   | Il.Ret None ->
     Some
       (fun c ->

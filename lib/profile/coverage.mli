@@ -10,10 +10,6 @@
     {!Inference}, whatever the recursion structure, because each
     function's inflow equation holds exactly one elided unknown.
 
-    [Sampled] gates every per-site store on a fuel phase with period
-    {!sample_period} instead: cheap for programs too hot to count, but
-    the reconstruction is approximate and reported as such.
-
     Plans are immutable and shared read-only across profiling pool
     domains; build one per program per profiling call, never per run
     ({!plans_built_count} observes this). *)
@@ -21,18 +17,13 @@
 type mode =
   | Full  (** count every site — the historical behaviour *)
   | Min  (** spanning-structure elision; inference is bit-exact *)
-  | Sampled  (** fuel-phase sampling; approximate, with a coverage figure *)
 
 val mode_name : mode -> string
 
-(** [mode_of_string s] parses ["full"] / ["min"] / ["sampled"]. *)
+(** [mode_of_string s] parses ["full"] / ["min"]. *)
 val mode_of_string : string -> mode option
 
 val all_modes : mode list
-
-(** The fuel-phase period of [Sampled] plans (prime, to avoid aliasing
-    with loop periodicities). *)
-val sample_period : int
 
 type direct_elision = {
   e_site : int;  (** the uninstrumented arc *)

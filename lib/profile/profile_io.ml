@@ -3,7 +3,7 @@
    Current format (v4) adds the per-indirect-site value profile
    ("vsite" lines) on top of the v3 mode extension:
 
-     impact-profile v4 <md5-of-program-dump | -> <full|min|sampled | ->
+     impact-profile v4 <md5-of-program-dump | -> <full|min | ->
      ...
      vsite <site> <other-weight> <fid>:<weight> ...
 
@@ -11,7 +11,7 @@
    data (some indirect site executed); otherwise the previous headers
    are kept — v3 when the writer states a mode:
 
-     impact-profile v3 <md5-of-program-dump | -> <full|min|sampled>
+     impact-profile v3 <md5-of-program-dump | -> <full|min>
 
    and v2 when it does not:
 
@@ -23,6 +23,11 @@
    empty value profile simply disables devirtualization); v1 files
    ("impact-profile 1") are still read and carry neither checksum nor
    mode, so staleness cannot be detected for them.
+
+   The two modes are exact and bit-identical, so the recorded mode never
+   makes a profile stale; it is still checked, and any other mode name
+   (including a legacy "sampled", whose weights were approximate) is a
+   parse error.
 
    "vsite" lines are deliberately forgiving in a different way from the
    rest of the format: a malformed, truncated or out-of-bounds value
@@ -147,7 +152,7 @@ let weight_of_string line w =
   | Some _ -> fail "negative or non-finite weight in %S" line
   | None -> fail "bad weight %S in %S" w line
 
-let parse ?expect_checksum ?expect_mode s =
+let parse ?expect_checksum s =
   let lines =
     String.split_on_char '\n' s
     |> List.map strip_cr
@@ -165,33 +170,20 @@ let parse ?expect_checksum ?expect_mode s =
         expected
     | _ -> ()
   in
+  let check_mode mode =
+    if Coverage.mode_of_string mode = None then
+      fail "bad profile mode %S in header" mode
+  in
   (match header with
-  | [ "impact-profile"; "v4"; checksum; mode ] -> (
+  | [ "impact-profile"; "v4"; checksum; mode ] ->
     check_checksum checksum;
-    if mode <> "-" then
-      (* "-" = unstated mode, undetectable like a "-" checksum. *)
-      match Coverage.mode_of_string mode with
-      | None -> fail "bad profile mode %S in header" mode
-      | Some recorded -> (
-        match expect_mode with
-        | Some wanted when recorded <> wanted ->
-          fail "stale profile: mode %s does not match requested %s"
-            (Coverage.mode_name recorded) (Coverage.mode_name wanted)
-        | _ -> ()))
-  | [ "impact-profile"; "v3"; checksum; mode ] -> (
+    (* "-" = unstated mode, like a "-" checksum. *)
+    if mode <> "-" then check_mode mode
+  | [ "impact-profile"; "v3"; checksum; mode ] ->
     check_checksum checksum;
-    match Coverage.mode_of_string mode with
-    | None -> fail "bad profile mode %S in header" mode
-    | Some recorded -> (
-      match expect_mode with
-      | Some wanted when recorded <> wanted ->
-        fail "stale profile: mode %s does not match requested %s"
-          (Coverage.mode_name recorded) (Coverage.mode_name wanted)
-      | _ -> ()))
+    check_mode mode
   | [ "impact-profile"; "v2"; checksum ] ->
-    (* v2 back-compat: no mode recorded (the format predates modes), so
-       — like an unrecorded "-" checksum — mode staleness is
-       undetectable and the file passes any [expect_mode]. *)
+    (* v2 back-compat: no mode recorded (the format predates modes). *)
     check_checksum checksum
   | [ "impact-profile"; "1" ] ->
     (* v1 back-compat: no checksum recorded, staleness undetectable. *)
@@ -340,10 +332,10 @@ let parse ?expect_checksum ?expect_mode s =
     avg_max_stack = f;
   }
 
-let of_string ?expect_checksum ?expect_mode s =
+let of_string ?expect_checksum s =
   match
     Fault.hit Fault.Profile_read;
-    parse ?expect_checksum ?expect_mode s
+    parse ?expect_checksum s
   with
   | p -> Ok p
   | exception Ierr.Error e -> Error e
@@ -354,8 +346,8 @@ let of_string ?expect_checksum ?expect_mode s =
       (Ierr.of_exn ~severity:Ierr.Degradable ~recovery:Ierr.Fallback_static
          Ierr.Profile_io e)
 
-let of_string_exn ?expect_checksum ?expect_mode s =
-  match of_string ?expect_checksum ?expect_mode s with
+let of_string_exn ?expect_checksum s =
+  match of_string ?expect_checksum s with
   | Ok p -> p
   | Error e -> raise (Ierr.Error e)
 
@@ -375,7 +367,7 @@ let save ?checksum ?mode path p =
          (Ierr.of_exn ~severity:Ierr.Degradable ~recovery:Ierr.Abort
             Ierr.Profile_io e))
 
-let load ?expect_checksum ?expect_mode path =
+let load ?expect_checksum path =
   match
     let ic = open_in path in
     let n = in_channel_length ic in
@@ -383,13 +375,13 @@ let load ?expect_checksum ?expect_mode path =
     close_in ic;
     s
   with
-  | s -> of_string ?expect_checksum ?expect_mode s
+  | s -> of_string ?expect_checksum s
   | exception e ->
     Error
       (Ierr.of_exn ~severity:Ierr.Degradable ~recovery:Ierr.Fallback_static
          Ierr.Profile_io e)
 
-let load_exn ?expect_checksum ?expect_mode path =
-  match load ?expect_checksum ?expect_mode path with
+let load_exn ?expect_checksum path =
+  match load ?expect_checksum path with
   | Ok p -> p
   | Error e -> raise (Ierr.Error e)

@@ -5,7 +5,7 @@
     The format is a line-oriented text file:
 
     {v
-    impact-profile v4 <checksum> <full|min|sampled|->
+    impact-profile v4 <checksum> <full|min|->
     runs <n>
     totals <ils> <cts> <calls> <returns> <ext_calls> <max_stack>
     func <fid> <weight>      (one line per non-zero node weight)
@@ -17,9 +17,10 @@
     header's [<checksum>] is the {!program_checksum} of the program the
     profile was collected against ([-] when not recorded), so a stale
     profile is detected at load time.  The mode field records the
-    instrumentation mode the profile was collected under, so an
-    approximate [sampled] profile is never silently reused to answer a
-    request for an exact one.
+    instrumentation mode the profile was collected under.  Both modes
+    are exact and give bit-identical profiles, so either answers a
+    request for the other; a header naming any other mode (a legacy
+    approximate [sampled] profile included) is rejected.
 
     Writers emit a v4 header only when the profile carries a value
     profile (some indirect site executed); otherwise a v3 header is
@@ -27,13 +28,13 @@
     ([impact-profile v2 <checksum>]) is kept when they do not, which
     also keeps {!profile_checksum} byte-stable for profiles without
     indirect-call data.  v2/v3 files read back with an empty value
-    profile; v2 files carry no mode and pass any [expect_mode]; v1
+    profile; v2 files carry no mode; v1
     files ([impact-profile 1]) are still read and carry neither
     checksum nor mode.
 
     All failure modes — unreadable file, malformed line,
-    negative/overflowing count, unknown section, stale checksum or
-    mode — are reported as typed {!Impact_support.Ierr.t} values (stage
+    negative/overflowing count, unknown section, stale checksum,
+    unknown mode — are reported as typed {!Impact_support.Ierr.t} values (stage
     [Profile_io], severity [Degradable], recovery [Fallback_static]),
     never raw exceptions: array sizes requested by the file are bounds-
     checked before allocation.  The one deliberate exception is the
@@ -60,22 +61,16 @@ val profile_checksum : Profile.t -> string
     unchanged.  [?checksum] defaults to [-]. *)
 val to_string : ?checksum:string -> ?mode:Coverage.mode -> Profile.t -> string
 
-(** [of_string ?expect_checksum ?expect_mode s] parses a serialised
-    profile.  CRLF line endings and runs of spaces/tabs between fields
-    are tolerated.  With [?expect_checksum], a v2/v3 header whose
-    recorded checksum differs is rejected as stale; with [?expect_mode],
-    a v3 header recording a different mode is rejected as stale (v1/v2
-    headers and unrecorded [-] checksums pass either check).  Never
-    raises: every failure is a typed [Error]. *)
+(** [of_string ?expect_checksum s] parses a serialised profile.  CRLF
+    line endings and runs of spaces/tabs between fields are tolerated.
+    With [?expect_checksum], a v2/v3/v4 header whose recorded checksum
+    differs is rejected as stale (v1 headers and unrecorded [-]
+    checksums pass).  Never raises: every failure is a typed [Error]. *)
 val of_string :
-  ?expect_checksum:string ->
-  ?expect_mode:Coverage.mode ->
-  string ->
-  (Profile.t, Impact_support.Ierr.t) result
+  ?expect_checksum:string -> string -> (Profile.t, Impact_support.Ierr.t) result
 
 (** [of_string_exn] is {!of_string}, raising {!Impact_support.Ierr.Error}. *)
-val of_string_exn :
-  ?expect_checksum:string -> ?expect_mode:Coverage.mode -> string -> Profile.t
+val of_string_exn : ?expect_checksum:string -> string -> Profile.t
 
 (** [save ?checksum ?mode path p] writes [to_string p] to [path]
     atomically: the bytes go to [path ^ ".tmp"] first and are renamed
@@ -84,15 +79,11 @@ val of_string_exn :
     @raise Impact_support.Ierr.Error when the file cannot be written. *)
 val save : ?checksum:string -> ?mode:Coverage.mode -> string -> Profile.t -> unit
 
-(** [load ?expect_checksum ?expect_mode path] reads and parses a profile
-    file.  Never raises: an unreadable file or malformed content is a
-    typed [Error]. *)
+(** [load ?expect_checksum path] reads and parses a profile file.
+    Never raises: an unreadable file or malformed content is a typed
+    [Error]. *)
 val load :
-  ?expect_checksum:string ->
-  ?expect_mode:Coverage.mode ->
-  string ->
-  (Profile.t, Impact_support.Ierr.t) result
+  ?expect_checksum:string -> string -> (Profile.t, Impact_support.Ierr.t) result
 
 (** [load_exn] is {!load}, raising {!Impact_support.Ierr.Error}. *)
-val load_exn :
-  ?expect_checksum:string -> ?expect_mode:Coverage.mode -> string -> Profile.t
+val load_exn : ?expect_checksum:string -> string -> Profile.t

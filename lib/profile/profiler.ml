@@ -7,7 +7,6 @@ type coverage = {
   effective : Coverage.mode;
   total_sites : int;
   counted_sites : int;
-  sample_coverage : float option;
 }
 
 type result = {
@@ -88,7 +87,7 @@ let rec profile ?budget ?fuel ?obs ?engine ?(jobs = 1) ?clamp ?probe
       (fun (o : Machine.outcome) -> Counters.add_into acc o.Machine.counters)
       runs;
     let nruns = List.length runs in
-    let stats = Inference.apply plan ~nruns acc in
+    Inference.apply plan ~nruns acc;
     let max_stacks =
       List.map (fun (o : Machine.outcome) -> o.Machine.max_stack) runs
     in
@@ -102,7 +101,6 @@ let rec profile ?budget ?fuel ?obs ?engine ?(jobs = 1) ?clamp ?probe
           effective = mode;
           total_sites = plan.Coverage.total_sites;
           counted_sites = plan.Coverage.counted_sites;
-          sample_coverage = stats.Inference.sample_coverage;
         };
     }
   end

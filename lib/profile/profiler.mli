@@ -5,10 +5,8 @@
     weights that drive inline expansion. *)
 
 (** What the run's instrumentation actually covered.  Under [Min] the
-    elided counts were reconstructed exactly ({!Inference}); under
-    [Sampled] the site weights are approximate and [sample_coverage]
-    reports how much of the dynamic call volume the scaled samples
-    explain.  [effective] differs from [requested] only when a [Min]
+    elided counts were reconstructed exactly ({!Inference}).
+    [effective] differs from [requested] only when a [Min]
     plan was poisoned by a fabricated indirect-call target and the
     sweep was transparently redone fully instrumented. *)
 type coverage = {
@@ -16,7 +14,6 @@ type coverage = {
   effective : Coverage.mode;
   total_sites : int;  (** call sites in alive code *)
   counted_sites : int;  (** sites the engines actually counted *)
-  sample_coverage : float option;  (** [Sampled] only, in [0, 1] *)
 }
 
 (** The outcome of profiling: the averaged profile plus each run's raw
@@ -24,8 +21,8 @@ type coverage = {
     [failures] is empty except in tolerant mode, where it records the
     input indices whose runs failed even after one retry.
 
-    Under a non-[Full] mode the per-run [runs] counters are the raw
-    (partially uncounted, or sampled) measurements; only the averaged
+    Under [Min] the per-run [runs] counters are the raw (partially
+    uncounted) measurements; only the averaged
     [profile] has been through inference. *)
 type result = {
   profile : Profile.t;
@@ -65,9 +62,7 @@ type result = {
       builds one minimum-coverage plan per call — shared read-only
       across the pool domains — counts only the co-forest arcs, and
       reconstructs the rest exactly; the resulting profile is
-      bit-identical to [Full].  [Sampled] gates site counting on a fuel
-      phase and scales back up: approximate, with the coverage figure
-      in [result.coverage].
+      bit-identical to [Full].
     @raise Invalid_argument if [inputs] is empty.
     @raise Impact_interp.Machine.Trap if a run traps (non-tolerant), or
       if every run fails (tolerant: the first input's error). *)

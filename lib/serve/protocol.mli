@@ -64,9 +64,11 @@ type job = {
   j_policy : Impact_harness.Pipeline.policy;  (** default [Strict] *)
   j_engine : Impact_interp.Machine.engine;  (** default [Threaded] *)
   j_profile_mode : Impact_profile.Coverage.mode;
-      (** wire field [profile_mode], one of ["full"]/["min"]/["sampled"];
-          absent (requests from clients predating the field) defaults to
-          [Full] — the historical behaviour *)
+      (** wire field [profile_mode], one of ["full"]/["min"]; any other
+          string (the retired ["sampled"] included) is a typed
+          "unknown profile_mode" error; absent (requests from clients
+          predating the field) defaults to [Full] — the historical
+          behaviour *)
   j_devirt : bool;
       (** wire field [devirt]; absent defaults to [false] — requests
           from clients predating the field keep the exact

@@ -163,27 +163,20 @@ let compile_result_json (r : Pipeline.result) =
 
 let profile_json (p : Profile.t) ~(coverage : Profiler.coverage) ~nruns =
   Sink.Obj
-    ([
-       ("avg_ils", Sink.Float p.Profile.avg_ils);
-       ("avg_cts", Sink.Float p.Profile.avg_cts);
-       ("avg_calls", Sink.Float p.Profile.avg_calls);
-       ("avg_returns", Sink.Float p.Profile.avg_returns);
-       ("avg_ext_calls", Sink.Float p.Profile.avg_ext_calls);
-       ("avg_max_stack", Sink.Float p.Profile.avg_max_stack);
-       ("nruns", Sink.Int nruns);
-       ( "profile_mode",
-         Sink.String
-           (Impact_profile.Coverage.mode_name coverage.Profiler.effective) );
-       ("total_sites", Sink.Int coverage.Profiler.total_sites);
-       ("counted_sites", Sink.Int coverage.Profiler.counted_sites);
-     ]
-    @
-    match coverage.Profiler.sample_coverage with
-    | None -> []
-    | Some c ->
-      (* Approximate by construction: flagged so no client mistakes a
-         sampled profile for exact counts. *)
-      [ ("approximate", Sink.Bool true); ("sample_coverage", Sink.Float c) ])
+    [
+      ("avg_ils", Sink.Float p.Profile.avg_ils);
+      ("avg_cts", Sink.Float p.Profile.avg_cts);
+      ("avg_calls", Sink.Float p.Profile.avg_calls);
+      ("avg_returns", Sink.Float p.Profile.avg_returns);
+      ("avg_ext_calls", Sink.Float p.Profile.avg_ext_calls);
+      ("avg_max_stack", Sink.Float p.Profile.avg_max_stack);
+      ("nruns", Sink.Int nruns);
+      ( "profile_mode",
+        Sink.String
+          (Impact_profile.Coverage.mode_name coverage.Profiler.effective) );
+      ("total_sites", Sink.Int coverage.Profiler.total_sites);
+      ("counted_sites", Sink.Int coverage.Profiler.counted_sites);
+    ]
 
 (* The job body proper.  Anything escaping is classified into the typed
    taxonomy; [Ierr.Error] payloads keep their original stage. *)

@@ -64,8 +64,8 @@ let header s =
   | Some i -> String.sub s 0 i
   | None -> s
 
-let parse_ok ?expect_mode s =
-  match Profile_io.of_string ?expect_mode s with
+let parse_ok s =
+  match Profile_io.of_string s with
   | Ok p -> p
   | Error e -> Alcotest.failf "parse failed: %s" (Ierr.to_string e)
 
@@ -81,18 +81,25 @@ let test_v4_roundtrip () =
   let ck = String.make 32 'b' in
   let s2 = Profile_io.to_string ~checksum:ck ~mode:Coverage.Min p in
   let p2 =
-    match Profile_io.of_string ~expect_checksum:ck ~expect_mode:Coverage.Min s2 with
+    match Profile_io.of_string ~expect_checksum:ck s2 with
     | Ok p2 -> p2
     | Error e -> Alcotest.failf "v4 with checksum+mode: %s" (Ierr.to_string e)
   in
   Alcotest.(check bool) "checksum+mode round-trip keeps vsites" true
     (p2.Profile.vsites = p.Profile.vsites);
-  (* A recorded mode is still enforced on a v4 header. *)
-  match Profile_io.of_string ~expect_mode:Coverage.Sampled s2 with
-  | Ok _ -> Alcotest.fail "v4 mode mismatch accepted"
-  | Error e ->
-    Alcotest.(check string) "mode mismatch is typed" "profile-io"
-      (Ierr.stage_name e.Ierr.stage)
+  (* The recorded mode is still checked: a legacy header naming the
+     retired approximate mode is a typed error, v3 and v4 alike. *)
+  let hlen = String.length (header s2) in
+  let body = String.sub s2 hlen (String.length s2 - hlen) in
+  List.iter
+    (fun v ->
+      let h = Printf.sprintf "impact-profile %s %s sampled" v ck in
+      match Profile_io.of_string (h ^ body) with
+      | Ok _ -> Alcotest.failf "%s header naming sampled accepted" v
+      | Error e ->
+        Alcotest.(check string) (v ^ " sampled header is typed") "profile-io"
+          (Ierr.stage_name e.Ierr.stage))
+    [ "v3"; "v4" ]
 
 let test_no_vsites_keeps_v2_bytes () =
   let p = sample () in

@@ -297,12 +297,22 @@ let test_fuzz_frames () =
               (Ierr.stage_name e.Ierr.stage)
           | _ -> Alcotest.fail "no typed error for bad JSON");
           ignore (ok_or_fail (Client.request c Protocol.Ping)));
-      (* 5. Valid JSON, invalid request: typed error, connection lives. *)
+      (* 5. Valid JSON, invalid request: typed error, connection lives.
+         A compile naming the retired [sampled] profile mode is one. *)
       with_client t (fun c ->
           Client.send_raw c (raw_frame "{\"v\":1,\"id\":9,\"kind\":\"explode\"}\n");
           (match Client.read_response c with
           | Ok (Error _) -> ()
           | _ -> Alcotest.fail "no typed error for unknown kind");
+          Client.send_raw c
+            (raw_frame
+               "{\"v\":1,\"id\":10,\"kind\":\"compile\",\"source\":\"int \
+                main() { return 0; }\",\"profile_mode\":\"sampled\"}\n");
+          (match Client.read_response c with
+          | Ok (Error e) ->
+            Alcotest.(check string) "unknown profile_mode is typed" "serve"
+              (Ierr.stage_name e.Ierr.stage)
+          | _ -> Alcotest.fail "no typed error for profile_mode sampled");
           ignore (ok_or_fail (Client.request c Protocol.Ping)));
       (* 6. Mid-request disconnect: half a header, then close. *)
       with_client t (fun c -> Client.send_raw c "\x00\x00");
